@@ -94,6 +94,25 @@ func WriteBusy(w io.Writer, retryAfter time.Duration) error {
 	})
 }
 
+// writeRequest sends an owner request. A server that sheds the
+// connection answers busy without reading the request, so the write can
+// fail once the server has closed; the busy response may still be
+// readable then, and it is the real answer, reported in preference to the
+// write error.
+func writeRequest(vendorConn io.ReadWriter, req OwnerRequest) error {
+	err := writeMsg(vendorConn, req)
+	if err == nil {
+		return nil
+	}
+	var resp OwnerResponse
+	if readMsg(vendorConn, &resp) == nil {
+		if berr := busyError(&resp); berr != nil {
+			return berr
+		}
+	}
+	return err
+}
+
 // busyError maps a shed response to ErrBusy (nil for anything else).
 func busyError(resp *OwnerResponse) error {
 	if !resp.Busy {
@@ -197,7 +216,7 @@ func (v *Vendor) HandleOwnerRequest(ownerConn io.ReadWriter, req *OwnerRequest) 
 // Bitstream Encryption Key the kernel received.
 func ProvisionViaHost(vendorConn io.ReadWriter, product string, group *modp.Group,
 	k *boot.SecurityKernel, enc *bitstream.Encrypted) (*OwnerResponse, *schnorr.PublicKey, []byte, error) {
-	if err := writeMsg(vendorConn, OwnerRequest{Kind: KindProvision, Product: product}); err != nil {
+	if err := writeRequest(vendorConn, OwnerRequest{Kind: KindProvision, Product: product}); err != nil {
 		return nil, nil, nil, err
 	}
 	bitKey, kerr := ServeKernel(vendorConn, k, enc)
@@ -226,7 +245,7 @@ func ProvisionViaHost(vendorConn io.ReadWriter, product string, group *modp.Grou
 
 // FetchBitstream downloads the encrypted bitstream for a product.
 func FetchBitstream(vendorConn io.ReadWriter, product string) (*bitstream.Encrypted, error) {
-	if err := writeMsg(vendorConn, OwnerRequest{Kind: KindFetch, Product: product}); err != nil {
+	if err := writeRequest(vendorConn, OwnerRequest{Kind: KindFetch, Product: product}); err != nil {
 		return nil, err
 	}
 	var resp OwnerResponse
@@ -258,7 +277,7 @@ func DestroyZone(vendorConn io.ReadWriter, tenant string) error {
 }
 
 func zoneRequest(vendorConn io.ReadWriter, req OwnerRequest) error {
-	if err := writeMsg(vendorConn, req); err != nil {
+	if err := writeRequest(vendorConn, req); err != nil {
 		return err
 	}
 	var resp OwnerResponse
@@ -277,7 +296,7 @@ func zoneRequest(vendorConn io.ReadWriter, req OwnerRequest) error {
 // RegisterDevice records a device public key with the vendor's CA view
 // (demo convenience standing in for the Manufacturer's CA publication).
 func RegisterDevice(vendorConn io.ReadWriter, serial string, pub *rsax.PublicKey) error {
-	err := writeMsg(vendorConn, OwnerRequest{
+	err := writeRequest(vendorConn, OwnerRequest{
 		Kind:         KindRegister,
 		DeviceSerial: serial,
 		DeviceKeyN:   pub.N.Bytes(),

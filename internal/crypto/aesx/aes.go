@@ -15,13 +15,35 @@ import (
 	"sync"
 )
 
-// Block is the forward-direction 16-byte block cipher interface the CTR
-// and PMAC layers run over. *Cipher implements it, and so do the
+// Block is the forward-direction block cipher interface the CTR and PMAC
+// layers run over. EncryptBlocks encrypts every 16-byte block of src into
+// the same offset of dst, independently (ECB); src must be whole blocks,
+// dst at least as long, and dst may alias src exactly. CTR and PMAC hand
+// it a batch of independent blocks per call, so an implementation can
+// keep several blocks in flight, as the paper's engine sets do with
+// parallel AES engines (§6.2). *Cipher implements it, and so do the
 // hardware-backed engines in internal/crypto/engine, which is what lets
 // the engine-selection layer swap implementations under an unchanged data
 // path.
 type Block interface {
-	EncryptBlock(dst, src []byte)
+	EncryptBlocks(dst, src []byte)
+}
+
+// BatchBlocks is the number of blocks the CTR and PMAC layers hand to one
+// EncryptBlocks call: 256 bytes, enough to amortise the call and keep an
+// 8-way interleaving kernel's pipeline full, small enough that the
+// per-worker scratch of every resident engine set stays small (32 blocks
+// ran no faster and grew the attest workload's peak memory).
+const BatchBlocks = 16
+
+// BlockCount returns the number of blocks in src, panicking unless src is
+// whole blocks and dst is at least as long. It is the EncryptBlocks
+// argument check every Block implementation shares.
+func BlockCount(dst, src []byte) int {
+	if len(src)%BlockSize != 0 || len(dst) < len(src) {
+		panic("aesx: EncryptBlocks needs whole blocks and a destination as long as the source")
+	}
+	return len(src) / BlockSize
 }
 
 // KeySize selects the AES key length.
@@ -165,6 +187,17 @@ func expandKey(key []byte) *Cipher {
 // KeySize reports the cipher's key size.
 func (c *Cipher) KeySize() KeySize { return c.size }
 
+// RoundKeys returns a copy of the encryption key schedule as bytes in
+// FIPS-197 order: round key r is bytes [16r, 16r+16), the layout the
+// AES-NI instructions load directly.
+func (c *Cipher) RoundKeys() []byte {
+	b := make([]byte, 4*len(c.rk))
+	for i, w := range c.rk {
+		binary.BigEndian.PutUint32(b[4*i:], w)
+	}
+	return b
+}
+
 // te0..te3 are the standard AES encryption T-tables: each entry combines
 // SubBytes and MixColumns for one input byte, so a round reduces to 16
 // table lookups and XORs. td0..td3 are their decryption duals (InvSubBytes
@@ -238,6 +271,15 @@ func (c *Cipher) EncryptBlock(dst, src []byte) {
 	binary.BigEndian.PutUint32(dst[4:8], t1^rk[k+1])
 	binary.BigEndian.PutUint32(dst[8:12], t2^rk[k+2])
 	binary.BigEndian.PutUint32(dst[12:16], t3^rk[k+3])
+}
+
+// EncryptBlocks encrypts each block of src into dst (the Block
+// contract), one block at a time.
+func (c *Cipher) EncryptBlocks(dst, src []byte) {
+	n := BlockCount(dst, src)
+	for off := 0; off < n*BlockSize; off += BlockSize {
+		c.EncryptBlock(dst[off:off+BlockSize], src[off:off+BlockSize])
+	}
 }
 
 // DecryptBlock decrypts one 16-byte block src into dst (may alias), using

@@ -1,6 +1,9 @@
 package aesx
 
-import "encoding/binary"
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // IVSize is the Shield's initialisation-vector length: each authenticated
 // encryption chunk carries a 12-byte IV, and the low 4 bytes of the counter
@@ -9,52 +12,56 @@ const IVSize = 12
 
 // CTR encrypts or decrypts src into dst using AES-CTR with the given
 // 12-byte IV. The counter block is IV || big-endian 32-bit block counter
-// starting at 0. dst and src may alias. The operation is its own inverse.
+// starting at 0. dst and src may be the same slice (in place). The
+// operation is its own inverse.
 // Any Block implementation works: the reference *Cipher or a
-// hardware-backed block from internal/crypto/engine.
+// hardware-backed block from internal/crypto/engine. The counter scratch
+// is sized to src (at most one batch); hot paths hold a CTRStream.
 func CTR(c Block, iv [IVSize]byte, dst, src []byte) {
-	var st CTRStream
-	st.XORKeyStream(c, iv, dst, src)
+	xorKeyStream(c, iv, dst, src, make([]byte, min(roundBlocks(len(src)), BatchBlocks*BlockSize)))
 }
 
-// CTRStream holds the counter-block and keystream scratch of a CTR pass
-// as addressable state, so the Shield's seal scratch pool can check one
-// out per in-flight chunk and drive a window's consecutive chunks
-// through it. The counter block is rebuilt from the IV on every call
-// (each chunk has its own IV); what persists across calls is only the
-// scratch storage.
+// CTRStream holds the counter-block batch of a CTR pass as addressable
+// state, so the Shield's seal scratch pool can check one out per in-flight
+// chunk and drive a window's consecutive chunks through it. The counter
+// blocks are rebuilt from the IV on every call (each chunk has its own
+// IV); what persists across calls is only the scratch storage.
 type CTRStream struct {
-	ctrBlock [BlockSize]byte
-	ks       [BlockSize]byte
+	ks [BatchBlocks * BlockSize]byte
 }
 
 // XORKeyStream encrypts or decrypts src into dst under iv, using the
-// stream's scratch. Semantics match CTR; dst and src may alias.
+// stream's scratch. Semantics match CTR; dst and src may be the same
+// slice, but must not overlap otherwise (crypto/subtle.XORBytes).
 func (st *CTRStream) XORKeyStream(c Block, iv [IVSize]byte, dst, src []byte) {
+	xorKeyStream(c, iv, dst, src, st.ks[:])
+}
+
+// xorKeyStream runs CTR through the whole-block scratch ks: each batch of
+// up to len(ks) bytes of counter blocks is encrypted in one EncryptBlocks
+// call and then XORed into the data.
+func xorKeyStream(c Block, iv [IVSize]byte, dst, src, ks []byte) {
 	if len(dst) < len(src) {
 		panic("aesx: CTR destination shorter than source")
 	}
-	copy(st.ctrBlock[:], iv[:])
-	off, ctr := 0, uint32(0)
-	// Full blocks: XOR eight bytes at a time through the scratch words.
-	for ; off+BlockSize <= len(src); off, ctr = off+BlockSize, ctr+1 {
-		binary.BigEndian.PutUint32(st.ctrBlock[IVSize:], ctr)
-		c.EncryptBlock(st.ks[:], st.ctrBlock[:])
-		k0 := binary.LittleEndian.Uint64(st.ks[0:8])
-		k1 := binary.LittleEndian.Uint64(st.ks[8:16])
-		s0 := binary.LittleEndian.Uint64(src[off : off+8])
-		s1 := binary.LittleEndian.Uint64(src[off+8 : off+16])
-		binary.LittleEndian.PutUint64(dst[off:off+8], s0^k0)
-		binary.LittleEndian.PutUint64(dst[off+8:off+16], s1^k1)
-	}
-	if off < len(src) {
-		binary.BigEndian.PutUint32(st.ctrBlock[IVSize:], ctr)
-		c.EncryptBlock(st.ks[:], st.ctrBlock[:])
-		for i := 0; off+i < len(src); i++ {
-			dst[off+i] = src[off+i] ^ st.ks[i]
+	ivHi := binary.BigEndian.Uint64(iv[0:8])
+	ivLo := uint64(binary.BigEndian.Uint32(iv[8:12])) << 32
+	ctr := uint32(0)
+	for off := 0; off < len(src); off += len(ks) {
+		n := min(len(src)-off, len(ks))
+		batch := ks[:roundBlocks(n)]
+		for b := 0; b < len(batch); b += BlockSize {
+			binary.BigEndian.PutUint64(batch[b:], ivHi)
+			binary.BigEndian.PutUint64(batch[b+8:], ivLo|uint64(ctr))
+			ctr++
 		}
+		c.EncryptBlocks(batch, batch)
+		subtle.XORBytes(dst[off:off+n], src[off:off+n], batch)
 	}
 }
+
+// roundBlocks rounds n bytes up to whole blocks.
+func roundBlocks(n int) int { return (n + BlockSize - 1) / BlockSize * BlockSize }
 
 // ChunkIV derives the per-chunk IV for a Shield memory region. Successive
 // chunks increment the IV by one (paper §5.2.2: "incremented by 1 for each

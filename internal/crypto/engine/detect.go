@@ -7,12 +7,12 @@ import (
 	"sync"
 )
 
-// Features reports the CPU's crypto instruction-set extensions, as far as
-// the runtime can tell without cgo or assembly: AES-NI (or the arm64 AES
-// extension) and SHA-NI (or the arm64 SHA-2 extension). The stdlib engines
-// use these transparently when present; the flags here exist so the
-// startup log line can attribute a measured speedup to the hardware that
-// produced it.
+// Features reports the CPU's crypto instruction-set extensions: AES-NI
+// (or the arm64 AES extension) and SHA-NI (or the arm64 SHA-2 extension).
+// AESNI gates the amd64 AES kernel: the hardware engine runs it only when
+// the flag is set, and falls back to the stdlib crypto/aes otherwise. The
+// flags also let the startup log line attribute a measured speedup to the
+// hardware that produced it.
 type Features struct {
 	AESNI bool
 	SHANI bool
@@ -33,7 +33,8 @@ func Detect() Features {
 // detect parses /proc/cpuinfo on Linux (the flags/Features line carries
 // "aes" and "sha_ni"/"sha2" when the extensions exist). On other systems
 // or when the parse fails it reports no features — selection still works,
-// because the micro-benchmark, not the flag, makes the final call.
+// because the micro-benchmark, not the flag, makes the final call, and
+// the hardware AES engine falls back to the stdlib path.
 func detect() Features {
 	if runtime.GOOS != "linux" {
 		return Features{}

@@ -1,7 +1,9 @@
 // Package engine selects between the repository's scalar reference crypto
-// (internal/crypto/{aesx,sha256x}) and the hardware-backed stdlib engines
-// (crypto/aes, crypto/sha256, which use AES-NI/SHA-NI when the CPU has
-// them) for the *functional* data path.
+// (internal/crypto/{aesx,sha256x}) and the hardware-backed engines for the
+// *functional* data path: on amd64 with AES-NI, a multi-block AES kernel
+// that keeps eight blocks in flight; otherwise (and under the purego build
+// tag) the stdlib crypto/aes; and crypto/sha256, which uses SHA-NI when
+// the CPU has it.
 //
 // The split matters because the Shield plays two roles at once: it is a
 // cycle-accurate model of the paper's FPGA engine sets (where cost comes
@@ -50,8 +52,9 @@ const (
 	// Scalar forces the repository's from-scratch reference
 	// implementations.
 	Scalar
-	// Hardware forces the stdlib engines (AES-NI/SHA-NI accelerated when
-	// the CPU supports them).
+	// Hardware forces the hardware-backed engines: the AES-NI kernel
+	// where it can run, else the stdlib engines (AES-NI/SHA-NI
+	// accelerated when the CPU supports them).
 	Hardware
 )
 
@@ -85,6 +88,10 @@ type Selection struct {
 	Features Features
 	// AES and SHA are the resolved kinds (never Auto).
 	AES, SHA Kind
+	// AESKernel names the code behind AES when it is Hardware:
+	// "aesni-x8" for the multi-block AES-NI kernel, "stdlib" for
+	// crypto/aes.
+	AESKernel string
 	// Forced reports that SHEF_CRYPTO_ENGINE pinned the choice, skipping
 	// the micro-benchmark (the *Ns fields are zero in that case).
 	Forced bool
@@ -101,8 +108,12 @@ func (s Selection) String() string {
 	if s.Forced {
 		src = "env " + EnvVar
 	}
+	aes := s.AES.String()
+	if s.AES == Hardware && s.AESKernel != "" {
+		aes += "(" + s.AESKernel + ")"
+	}
 	line := fmt.Sprintf("crypto engines: aes=%s sha=%s (aesni=%v sha_ni=%v, via %s",
-		s.AES, s.SHA, s.Features.AESNI, s.Features.SHANI, src)
+		aes, s.SHA, s.Features.AESNI, s.Features.SHANI, src)
 	if !s.Forced {
 		line += fmt.Sprintf("; aes %dns vs %dns, sha %dns vs %dns per KiB scalar/hw",
 			s.AESScalarNs, s.AESHardwareNs, s.SHAScalarNs, s.SHAHardwareNs)
@@ -126,7 +137,7 @@ func Select() Selection {
 // pick computes a Selection for the given environment override. Split out
 // of Select so tests can exercise every branch without the cache.
 func pick(env string) Selection {
-	s := Selection{Features: Detect()}
+	s := Selection{Features: Detect(), AESKernel: hardwareAESName()}
 	if k, err := ParseKind(env); err == nil && k != Auto {
 		s.AES, s.SHA, s.Forced = k, k, true
 		return s
@@ -144,10 +155,19 @@ func pick(env string) Selection {
 	return s
 }
 
+// hardwareAESName names the AES code NewAES(key, Hardware) runs here.
+func hardwareAESName() string {
+	if haveAESKernel() {
+		return aesKernelName
+	}
+	return "stdlib"
+}
+
 // benchReps and benchKiB size the micro-benchmark: 3 repetitions over
 // 1KiB keep the total comfortably under a millisecond even on a machine
 // with neither extension, while 64 AES blocks / 16 SHA blocks are enough
-// to swamp call overhead.
+// to swamp call overhead. AES is timed through EncryptBlocks, the entry
+// point the CTR and PMAC data path uses.
 const (
 	benchReps = 3
 	benchKiB  = 1024
@@ -173,23 +193,19 @@ func benchAES() (scalarNs, hwNs int64) {
 	for i := range key {
 		key[i] = byte(i*7 + 1)
 	}
-	var buf [benchKiB]byte
-	sc, err := aesx.NewCipher(key[:])
+	buf := make([]byte, benchKiB)
+	sc, err := NewAES(key[:], Scalar)
 	if err != nil {
 		return 1, 1
 	}
-	hw, err := aes.NewCipher(key[:])
+	hw, err := NewAES(key[:], Hardware)
 	if err != nil {
 		return 1, 1
 	}
 	run := func(b aesx.Block) func() {
-		return func() {
-			for off := 0; off < benchKiB; off += aesx.BlockSize {
-				b.EncryptBlock(buf[off:off+aesx.BlockSize], buf[off:off+aesx.BlockSize])
-			}
-		}
+		return func() { b.EncryptBlocks(buf, buf) }
 	}
-	return minNs(run(sc)), minNs(run(stdBlock{hw}))
+	return minNs(run(sc)), minNs(run(hw))
 }
 
 func benchSHA() (scalarNs, hwNs int64) {
@@ -213,10 +229,16 @@ func benchSHA() (scalarNs, hwNs int64) {
 	return scalarNs, hwNs
 }
 
-// stdBlock adapts the stdlib AES cipher to the aesx.Block contract.
+// stdBlock adapts the stdlib AES cipher to the aesx.Block contract, one
+// block at a time.
 type stdBlock struct{ b cipher.Block }
 
-func (s stdBlock) EncryptBlock(dst, src []byte) { s.b.Encrypt(dst, src) }
+func (s stdBlock) EncryptBlocks(dst, src []byte) {
+	n := aesx.BlockCount(dst, src)
+	for off := 0; off < n*aesx.BlockSize; off += aesx.BlockSize {
+		s.b.Encrypt(dst[off:off+aesx.BlockSize], src[off:off+aesx.BlockSize])
+	}
+}
 
 // ResolveAES returns the concrete AES engine kind for k. Explicit kinds
 // pass through untouched (so forcing a path in tests never consults the
@@ -238,16 +260,26 @@ func ResolveSHA(k Kind) Kind {
 
 // NewAES builds a block cipher for the key under the chosen engine. The
 // returned Block produces ciphertext bit-identical to aesx.NewCipher
-// whichever engine backs it.
+// whichever engine backs it. Hardware means the AES-NI kernel over the
+// cached aesx key schedule where the CPU and build allow it, else the
+// stdlib crypto/aes.
 func NewAES(key []byte, kind Kind) (aesx.Block, error) {
-	if ResolveAES(kind) == Hardware {
+	hw := ResolveAES(kind) == Hardware
+	if hw && !haveAESKernel() {
 		b, err := aes.NewCipher(key)
 		if err != nil {
 			return nil, err
 		}
 		return stdBlock{b}, nil
 	}
-	return aesx.NewCipher(key)
+	c, err := aesx.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	if hw {
+		return newAESKernel(c), nil
+	}
+	return c, nil
 }
 
 // NewSHA returns a constructor of incremental SHA-256 states under the

@@ -98,8 +98,8 @@ func TestAESParity(t *testing.T) {
 		var src, a, b [16]byte
 		for trial := 0; trial < 64; trial++ {
 			rng.Read(src[:])
-			sc.EncryptBlock(a[:], src[:])
-			hw.EncryptBlock(b[:], src[:])
+			sc.EncryptBlocks(a[:], src[:])
+			hw.EncryptBlocks(b[:], src[:])
 			if a != b {
 				t.Fatalf("key size %d: block mismatch\nscalar  %x\nhardware %x", ks, a, b)
 			}
@@ -194,12 +194,15 @@ func TestPMACParity(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState pins the pooling contract the Shield's hot
-// path relies on: once constructed, CTR and HMAC tagging through either
-// engine allocate nothing per chunk.
+// path relies on: once constructed, CTR, HMAC and PMAC tagging through
+// either engine allocate nothing per chunk — at a 4 KB chunk, its 4 KB+12
+// MAC input, and one block either side of the CTR/PMAC batch size.
 func TestZeroAllocSteadyState(t *testing.T) {
 	key := make([]byte, 16)
-	msg := make([]byte, 4096)
-	dst := make([]byte, 4096)
+	batch := aesx.BatchBlocks * aesx.BlockSize
+	lengths := []int{batch - aesx.BlockSize, batch, batch + aesx.BlockSize, 4096, 4096 + 12}
+	msg := make([]byte, 4096+12)
+	dst := make([]byte, len(msg))
 	iv := aesx.ChunkIV(1, 2, 3)
 	var tag [hmacx.TagSize]byte
 	for _, kind := range []Kind{Scalar, Hardware} {
@@ -207,27 +210,86 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mac := pmacx.NewWithBlock(blk)
 		var st aesx.CTRStream
-		if n := testing.AllocsPerRun(100, func() {
-			st.XORKeyStream(blk, iv, dst, msg)
-		}); n != 0 {
-			t.Errorf("%v CTR: %v allocs/op, want 0", kind, n)
+		var psc pmacx.Scratch
+		for _, n := range lengths {
+			if a := testing.AllocsPerRun(100, func() {
+				st.XORKeyStream(blk, iv, dst[:n], msg[:n])
+			}); a != 0 {
+				t.Errorf("%v CTR len %d: %v allocs/op, want 0", kind, n, a)
+			}
+			if a := testing.AllocsPerRun(100, func() {
+				tag = mac.SumWith(&psc, msg[:n])
+			}); a != 0 {
+				t.Errorf("%v PMAC len %d: %v allocs/op, want 0", kind, n, a)
+			}
 		}
 		hm := hmacx.NewState(key, NewSHA(kind))
 		if n := testing.AllocsPerRun(100, func() {
-			hm.Tag(msg, &tag)
+			hm.Tag(msg[:4096], &tag)
 		}); n != 0 {
 			t.Errorf("%v HMAC tag: %v allocs/op, want 0", kind, n)
 		}
 	}
-	mac, err := pmacx.New(key)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSelectionNamesKernel checks the startup line names the AES code the
+// hardware engine runs, so a benchmark's host fingerprint says which AES
+// path produced its numbers.
+func TestSelectionNamesKernel(t *testing.T) {
+	s := pick("hardware")
+	want := "aes=hardware(" + hardwareAESName() + ")"
+	if !strings.Contains(s.String(), want) {
+		t.Fatalf("selection line %q does not contain %q", s, want)
 	}
-	var psc pmacx.Scratch
-	if n := testing.AllocsPerRun(100, func() {
-		tag = mac.SumWith(&psc, msg)
-	}); n != 0 {
-		t.Errorf("PMAC: %v allocs/op, want 0", n)
+	if strings.Contains(pick("scalar").String(), "aes=scalar(") {
+		t.Fatalf("scalar selection names a hardware kernel: %q", pick("scalar"))
 	}
 }
+
+// BenchmarkEngineCTR4K is the bottom rung of the real-throughput ladder:
+// one 4 KB chunk of AES-CTR through CTRStream on each engine.
+func BenchmarkEngineCTR4K(b *testing.B) {
+	for _, kind := range []Kind{Scalar, Hardware} {
+		b.Run(kind.String(), func(b *testing.B) {
+			blk, err := NewAES(make([]byte, 16), kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, 4096)
+			iv := aesx.ChunkIV(1, 2, 3)
+			var st aesx.CTRStream
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.XORKeyStream(blk, iv, buf, buf)
+			}
+		})
+	}
+}
+
+// BenchmarkEnginePMAC4K is the PMAC rung beside BenchmarkEngineCTR4K: the
+// tag over one 4 KB chunk on each engine.
+func BenchmarkEnginePMAC4K(b *testing.B) {
+	for _, kind := range []Kind{Scalar, Hardware} {
+		b.Run(kind.String(), func(b *testing.B) {
+			blk, err := NewAES(make([]byte, 16), kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mac := pmacx.NewWithBlock(blk)
+			msg := make([]byte, 4096)
+			var sc pmacx.Scratch
+			b.SetBytes(int64(len(msg)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkTag = mac.SumWith(&sc, msg)
+			}
+		})
+	}
+}
+
+var sinkTag [pmacx.TagSize]byte

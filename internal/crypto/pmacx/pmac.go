@@ -13,6 +13,7 @@ package pmacx
 import (
 	"crypto/subtle"
 	"encoding/binary"
+	"math/bits"
 
 	"shef/internal/crypto/aesx"
 )
@@ -48,8 +49,7 @@ func New(key []byte) (*MAC, error) {
 // cipher, letting callers choose the engine implementation.
 func NewWithBlock(b aesx.Block) *MAC {
 	m := &MAC{cipher: b}
-	var zero [16]byte
-	b.EncryptBlock(m.l[:], zero[:])
+	b.EncryptBlocks(m.l[:], m.l[:]) // L = AES_K(0^128), in place
 	m.lInv = halve(m.l)
 	m.lHi = binary.BigEndian.Uint64(m.l[0:8])
 	m.lLo = binary.BigEndian.Uint64(m.l[8:16])
@@ -64,7 +64,8 @@ func NewWithBlock(b aesx.Block) *MAC {
 // call. Callers on the hot path keep one Scratch per worker (the
 // Shield's seal scratch does); a zero Scratch is ready for use.
 type Scratch struct {
-	sigma, tmp, enc, final, tag [16]byte
+	batch [aesx.BatchBlocks * 16]byte
+	final [16]byte
 }
 
 // Sum computes the 16-byte PMAC tag of msg. It allocates a transient
@@ -75,11 +76,14 @@ func (m *MAC) Sum(msg []byte) [TagSize]byte {
 }
 
 // SumWith computes the 16-byte PMAC tag of msg using caller scratch,
-// allocating nothing. The offset doubling and all XOR folds operate on
-// big-endian uint64 halves — bit-identical to the byte-wise reference
-// (the property tests against Sum and the committed fuzz corpus pin
-// this) but ~4x cheaper per block, which matters because SumWith is the
-// single hottest function on the real seal/open path.
+// allocating nothing. The block encryptions are independent, so they run
+// a batch at a time: M_i xor Delta_i for up to aesx.BatchBlocks blocks is
+// written into the scratch batch, encrypted in one EncryptBlocks call,
+// and folded into Sigma. The offset doubling runs on big-endian uint64
+// halves and the XORs on little-endian loads of the message, so only the
+// offsets and the final Sigma are byte-swapped — bit-identical to the
+// byte-wise reference (the property tests against Sum and the committed
+// fuzz corpus pin this).
 func (m *MAC) SumWith(sc *Scratch, msg []byte) [TagSize]byte {
 	full := len(msg) / 16
 	rem := len(msg) % 16
@@ -90,15 +94,25 @@ func (m *MAC) SumWith(sc *Scratch, msg []byte) [TagSize]byte {
 	}
 	deltaHi, deltaLo := m.lHi, m.lLo
 	var sigmaHi, sigmaLo uint64
-	for i := 0; i < n; i++ {
-		deltaHi, deltaLo = doubleWords(deltaHi, deltaLo)
-		blk := msg[i*16 : i*16+16]
-		binary.BigEndian.PutUint64(sc.tmp[0:8], binary.BigEndian.Uint64(blk[0:8])^deltaHi)
-		binary.BigEndian.PutUint64(sc.tmp[8:16], binary.BigEndian.Uint64(blk[8:16])^deltaLo)
-		m.cipher.EncryptBlock(sc.enc[:], sc.tmp[:])
-		sigmaHi ^= binary.BigEndian.Uint64(sc.enc[0:8])
-		sigmaLo ^= binary.BigEndian.Uint64(sc.enc[8:16])
+	for i := 0; i < n; i += aesx.BatchBlocks {
+		in := msg[i*16 : min(n, i+aesx.BatchBlocks)*16]
+		b := sc.batch[:len(in)]
+		for off := 0; off+16 <= len(in); off += 16 {
+			deltaHi, deltaLo = doubleWords(deltaHi, deltaLo)
+			src, dst := in[off:off+16], b[off:off+16]
+			binary.LittleEndian.PutUint64(dst[:8], binary.LittleEndian.Uint64(src[:8])^bits.ReverseBytes64(deltaHi))
+			binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:])^bits.ReverseBytes64(deltaLo))
+		}
+		m.cipher.EncryptBlocks(b, b)
+		for off := 0; off+16 <= len(b); off += 16 {
+			blk := b[off : off+16]
+			sigmaHi ^= binary.LittleEndian.Uint64(blk[:8])
+			sigmaLo ^= binary.LittleEndian.Uint64(blk[8:])
+		}
 	}
+	// Sigma was folded from little-endian loads; XOR commutes with the
+	// byte swap, so one swap per word restores the big-endian halves.
+	sigmaHi, sigmaLo = bits.ReverseBytes64(sigmaHi), bits.ReverseBytes64(sigmaLo)
 	// Fold in the final block.
 	if lastFull {
 		blk := msg[len(msg)-16:]
@@ -112,8 +126,8 @@ func (m *MAC) SumWith(sc *Scratch, msg []byte) [TagSize]byte {
 		binary.BigEndian.PutUint64(sc.final[0:8], binary.BigEndian.Uint64(sc.final[0:8])^sigmaHi)
 		binary.BigEndian.PutUint64(sc.final[8:16], binary.BigEndian.Uint64(sc.final[8:16])^sigmaLo)
 	}
-	m.cipher.EncryptBlock(sc.tag[:], sc.final[:])
-	return sc.tag
+	m.cipher.EncryptBlocks(sc.final[:], sc.final[:])
+	return sc.final
 }
 
 // Verify reports whether tag authenticates msg, in constant time.
@@ -139,15 +153,12 @@ func double(b [16]byte) [16]byte {
 	return out
 }
 
-// doubleWords is double on big-endian uint64 halves.
+// doubleWords is double on big-endian uint64 halves. The reduction is
+// masked rather than branched on: the offsets are key-dependent, so a
+// branch would both mispredict half the time and leak timing.
 func doubleWords(hi, lo uint64) (uint64, uint64) {
-	msb := hi >> 63
-	hi = hi<<1 | lo>>63
-	lo <<= 1
-	if msb != 0 {
-		lo ^= 0x87
-	}
-	return hi, lo
+	mask := uint64(int64(hi) >> 63)
+	return hi<<1 | lo>>63, lo<<1 ^ mask&0x87
 }
 
 // halve multiplies by x^-1 in GF(2^128).

@@ -2,6 +2,7 @@ package pmacx
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,38 @@ func TestDeterministic(t *testing.T) {
 	msg := []byte("deterministic MAC over a chunk")
 	if m.Sum(msg) != m.Sum(msg) {
 		t.Fatal("PMAC not deterministic")
+	}
+}
+
+// TestKnownTags pins tags recorded from the one-block-at-a-time SumWith,
+// at lengths either side of the block and batch boundaries and at the
+// 4096+12-byte MAC input of a 4 KB chunk, so that the batched loop cannot
+// silently change the MAC.
+func TestKnownTags(t *testing.T) {
+	m, err := New([]byte("0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		n   int
+		tag string
+	}{
+		{0, "206e9ba3e9476a2e4dee7b57ea93fc93"},
+		{1, "6d20a7adb58677e60a426f1f1da88c0b"},
+		{16, "d136b3650ca2b2e420ab8ff579bc5d61"},
+		{17, "08389c6be83621e2a9f06b254c30b0c3"},
+		{255, "6e9617c7cdc74bf2aede5c73e6a05151"},
+		{256, "870833822295590d94d932a67ff4c8c7"},
+		{257, "6bda0fce443d214d8fef5f0567fb669a"},
+		{4108, "ba0dca6360a28b68901ed58f145661cb"},
+	} {
+		msg := make([]byte, c.n)
+		for i := range msg {
+			msg[i] = byte(i * 7)
+		}
+		if got := m.Sum(msg); hex.EncodeToString(got[:]) != c.tag {
+			t.Errorf("len %d: tag %x, want %s", c.n, got, c.tag)
+		}
 	}
 }
 

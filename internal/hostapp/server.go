@@ -247,9 +247,9 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 
 // acquireSlot is the admission gate. With MaxSessions unset it admits
 // immediately. At capacity the connection joins the bounded wait queue;
-// past the queue bound it is shed: the server writes the busy response
-// with the retry-after hint and closes. A queued connection aborts if
-// shutdown begins. Reports whether a slot was acquired.
+// past the queue bound it is shed (refuse): the server writes the busy
+// response with the retry-after hint and closes. A queued connection
+// aborts if shutdown begins. Reports whether a slot was acquired.
 //
 // Tenant-aware servers add a weighted-fair pre-gate: when the server is
 // saturated, a tenant already at its fair share is shed immediately —
@@ -268,8 +268,7 @@ func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
 	if s.registry != nil && s.registry.OverFairShare(tenant, s.cfg.MaxSessions) {
 		s.registry.RecordShed(tenant)
 		s.shed.Add(1)
-		attest.WriteBusy(conn, s.cfg.RetryAfter)
-		conn.Close()
+		s.refuse(conn)
 		return false
 	}
 	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
@@ -278,8 +277,7 @@ func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
 		if s.registry != nil {
 			s.registry.RecordShed(tenant)
 		}
-		attest.WriteBusy(conn, s.cfg.RetryAfter)
-		conn.Close()
+		s.refuse(conn)
 		return false
 	}
 	defer s.queued.Add(-1)
@@ -290,6 +288,33 @@ func (s *VendorServer) acquireSlot(conn net.Conn, tenant string) bool {
 		conn.Close()
 		return false
 	}
+}
+
+// shedLinger bounds how long a shed connection is drained before it is
+// closed, and shedDrainMax how many bytes that drain reads.
+const (
+	shedLinger   = 250 * time.Millisecond
+	shedDrainMax = 1 << 20
+)
+
+// refuse sheds conn with the busy response and a lingering close. The
+// client's request may still be unread, and closing a TCP socket with
+// unread input sends an RST, which can make the client's request write
+// fail or discard the busy response before it is read. So the server
+// half-closes its side, drains the peer until it closes (or the linger
+// bound passes), and only then closes.
+func (s *VendorServer) refuse(conn net.Conn) {
+	defer conn.Close()
+	if attest.WriteBusy(conn, s.cfg.RetryAfter) != nil {
+		return
+	}
+	// Best effort from here: a failed half-close or drain only cuts the
+	// linger short.
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(shedLinger))
+	io.Copy(io.Discard, io.LimitReader(conn, shedDrainMax))
 }
 
 func (s *VendorServer) releaseSlot() {

@@ -125,8 +125,13 @@ type engineSet struct {
 	fanWG         sync.WaitGroup
 	fanWorkers    int
 
-	// flushScratch is the reusable dirty-chunk list of flush.
+	// flushScratch is the reusable dirty-chunk list of flush. The evict*
+	// fields are evictFor's victim list, dirty-chunk set and sorted
+	// dirty list, reused so an evicting write-back leaves no garbage.
 	flushScratch []int
+	evictVictims []*bufLine
+	evictSet     map[int]bool
+	evictDirty   []int
 
 	// Performance accounting.
 	busyCycles                          uint64 // accumulated engine-set busy time (chunk pipeline)
@@ -605,14 +610,18 @@ func (s *engineSet) evictFor(n int) error {
 			return nil
 		}
 	}
-	victims := make([]*bufLine, 0, need)
+	victims := s.evictVictims[:0]
 	for ln := s.lruRoot.prev; ln != &s.lruRoot && len(victims) < need; ln = ln.prev {
 		victims = append(victims, ln)
 	}
 	// Gather the dirty chunks to store: every dirty victim seeds a run
 	// that write combining extends across resident dirty neighbours (the
 	// neighbours stay resident, but leave clean).
-	dirtySet := make(map[int]bool)
+	if s.evictSet == nil {
+		s.evictSet = make(map[int]bool)
+	}
+	dirtySet := s.evictSet
+	clear(dirtySet)
 	limit := s.batchChunks()
 	extend := func(from, step int) {
 		for c, span := from, 1; span < limit; c, span = c+step, span+1 {
@@ -631,12 +640,13 @@ func (s *engineSet) evictFor(n int) error {
 		extend(ln.chunk+1, +1)
 	}
 	if len(dirtySet) > 0 {
-		dirty := make([]int, 0, len(dirtySet))
+		dirty := s.evictDirty[:0]
 		//shef:ignore membership set collected into a slice and sorted before use
 		for c := range dirtySet {
 			dirty = append(dirty, c)
 		}
 		slices.Sort(dirty)
+		s.evictDirty = dirty
 		// No fill/drain charge: eviction write-backs interleave with the
 		// demand traffic that forced them, so the write pipeline is
 		// already primed (contrast flush, which drains it).
@@ -648,6 +658,9 @@ func (s *engineSet) evictFor(n int) error {
 		s.dropLine(ln)
 		s.evictions++
 	}
+	// Keep the grown list, but not the dropped lines it points to.
+	clear(victims)
+	s.evictVictims = victims[:0]
 	return nil
 }
 

@@ -107,6 +107,12 @@ func FuzzEngineParity(f *testing.F) {
 	f.Add(0, uint32(0), []byte("engine parity"), uint16(0))
 	f.Add(511, uint32(9), make([]byte, 512), uint16(77))
 	f.Add(2, uint32(0xFFFF_FFFF), bytes.Repeat([]byte{0x5A}, 100), uint16(5))
+	// Payloads one byte either side of the CTR/PMAC batch, and a 4 KB
+	// chunk, whose MAC input is 4096+12 bytes.
+	batch := aesx.BatchBlocks * aesx.BlockSize
+	for _, n := range []int{batch - 1, batch, batch + 1, 4096} {
+		f.Add(n, uint32(n), bytes.Repeat([]byte{0xC3}, n), uint16(n))
+	}
 	cfg := RegionConfig{
 		Name: "parity", Base: 0, Size: 1 << 16, ChunkSize: 512,
 		AESEngines: 2, SBox: aesx.SBox16x, KeySize: aesx.AES128,

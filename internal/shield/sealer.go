@@ -42,13 +42,14 @@ type sealer struct {
 }
 
 // sealScratch is one in-flight chunk's working state: the MAC message
-// buffer, the CTR counter-block/keystream state, a reusable HMAC state
-// (persistent key pads and hash streams), and the PMAC block scratch.
+// buffer, the CTR counter-block batch, and the state of the region's MAC:
+// a reusable HMAC state (persistent key pads and hash streams) or the
+// PMAC block batch.
 type sealScratch struct {
 	msg  []byte
 	ctr  aesx.CTRStream
 	hmac *hmacx.State
-	pmac pmacx.Scratch
+	pmac *pmacx.Scratch
 }
 
 func newSealer(cfg RegionConfig, regionID uint32, dek []byte, kind engine.Kind) (*sealer, error) {
@@ -86,6 +87,8 @@ func (s *sealer) newScratch() *sealScratch {
 	sc := &sealScratch{msg: make([]byte, 0, 12+s.cfg.ChunkSize)}
 	if s.cfg.MAC == HMAC {
 		sc.hmac = hmacx.NewState(s.macKey, s.shaNew)
+	} else {
+		sc.pmac = new(pmacx.Scratch)
 	}
 	return sc
 }
@@ -147,7 +150,7 @@ func (s *sealer) sealChunkWith(sc *sealScratch, ct, tagOut []byte, chunk int, co
 	msg := s.macInputInto(sc.msg[:0], chunk, counter, ct)
 	var tag [TagSize]byte
 	if s.cfg.MAC == PMAC {
-		tag = s.pmac.SumWith(&sc.pmac, msg)
+		tag = s.pmac.SumWith(sc.pmac, msg)
 	} else {
 		sc.hmac.Tag(msg, &tag)
 	}
@@ -186,7 +189,7 @@ func (s *sealer) openChunkWith(sc *sealScratch, dst []byte, chunk int, counter u
 	copy(t[:], tag)
 	ok := false
 	if s.cfg.MAC == PMAC {
-		ok = s.pmac.VerifyWith(&sc.pmac, msg, t)
+		ok = s.pmac.VerifyWith(sc.pmac, msg, t)
 	} else {
 		ok = sc.hmac.Verify(msg, t)
 	}
