@@ -1,8 +1,10 @@
 package accel
 
 import (
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"shef/internal/perf"
 )
@@ -144,5 +146,35 @@ func TestComputeOverlap(t *testing.T) {
 func TestOverheadZeroBase(t *testing.T) {
 	if Overhead(RunResult{Cycles: 5}, RunResult{}) != 0 {
 		t.Fatal("zero-base overhead should be 0")
+	}
+}
+
+// TestRunsLeaveNoGoroutines runs the harness repeatedly and checks that
+// the goroutine count returns to where it started: RunShielded retires
+// its Shield's engine-set workers, and the bare baseline starts none.
+func TestRunsLeaveNoGoroutines(t *testing.T) {
+	params := perf.Default()
+	run := func() {
+		w, _ := New("dnnweaver", smallParams("dnnweaver"))
+		if _, err := RunShielded(w, V128x16, params, 1); err != nil {
+			t.Fatal(err)
+		}
+		w, _ = New("dnnweaver", smallParams("dnnweaver"))
+		if _, err := RunBare(w, params, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // one-time process state (crypto engine selection) settles first
+	start := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	// Retired workers exit asynchronously once their task channel closes.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after 5 runs, %d before: the harness leaks", n, start)
 	}
 }

@@ -73,11 +73,13 @@ func RunBare(w Workload, params perf.Params, seed int64) (RunResult, error) {
 		}
 	}
 	dram.ResetStats()
-	// The baseline keeps the Shield configuration's buffering
-	// microarchitecture — chunked line buffers over the same regions —
-	// with the cryptography removed, so the comparison isolates the cost
-	// of security rather than of caching.
-	cache := newBareCachePort(cfg, dram, params)
+	// The baseline runs the Shield's own engine sets over the same regions
+	// with the identity codec, so the comparison isolates the cost of
+	// security rather than of caching.
+	cache, err := shield.NewBaseline(cfg, dram, params)
+	if err != nil {
+		return RunResult{}, err
+	}
 	ctx := &Ctx{Mem: cache, Regs: &bareRegs{regs: make([]uint64, 32)}}
 	if err := w.Run(ctx); err != nil {
 		return RunResult{}, err
@@ -125,6 +127,7 @@ func RunShielded(w Workload, v Variant, params perf.Params, seed int64) (RunResu
 	if err != nil {
 		return RunResult{}, err
 	}
+	defer sh.Close()
 	dek := make([]byte, 32)
 	rand.New(rand.NewSource(seed ^ 0x5EED)).Read(dek)
 	lk, err := keywrap.Wrap(sh.PublicKey(), dek, nil)

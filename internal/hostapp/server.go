@@ -1,6 +1,7 @@
 package hostapp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -214,15 +215,17 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 	// lifetimes. Sessions are connection-rate, not op-rate, so the
 	// label formatting is off the hot path.
 	var err error
+	var sc *sessionConn
 	serve := func() {
 		var rw io.ReadWriter = conn
 		if faultinject.Enabled() {
 			rw = faultinject.WrapRW(conn, "attest.conn", int(sess.ID))
 		}
+		sc = &sessionConn{rw: rw}
 		if req != nil {
-			err = s.vendor.HandleOwnerRequest(rw, req)
+			err = s.vendor.HandleOwnerRequest(sc, req)
 		} else {
-			err = s.vendor.HandleOwner(rw)
+			err = s.vendor.HandleOwner(sc)
 		}
 	}
 	if profiling.Enabled() {
@@ -232,17 +235,60 @@ func (s *VendorServer) serveConn(conn net.Conn, onError func(error)) {
 	} else {
 		serve()
 	}
+	if err == nil {
+		// Count the session before its last response leaves: a client
+		// that reads that response and asks for Stats must already see
+		// it served. A failed final flush takes the count back.
+		s.countServed(tenant, true)
+		if err = sc.flush(); err != nil {
+			s.countServed(tenant, false)
+		}
+	} else {
+		_ = sc.flush() // best effort: what the session wrote before failing still goes out
+	}
 	if err != nil {
 		s.failed.Add(1)
 		if onError != nil {
 			onError(fmt.Errorf("session %d from %s: %w", sess.ID, sess.Remote, err))
 		}
-		return
+	}
+}
+
+// countServed adds one served session (served true) or takes one back
+// (false, when the session's final flush failed).
+func (s *VendorServer) countServed(tenant string, served bool) {
+	delta := uint64(1)
+	if !served {
+		delta = ^uint64(0)
 	}
 	if s.registry != nil {
-		s.registry.RecordServed(tenant)
+		s.registry.addServed(tenant, delta)
 	}
-	s.served.Add(1)
+	s.served.Add(delta)
+}
+
+// sessionConn buffers a session's writes and flushes them before every
+// read, so each protocol turn still reaches the client before the server
+// waits for the answer, while the last response stays buffered until the
+// session has been counted.
+type sessionConn struct {
+	rw  io.ReadWriter
+	out bytes.Buffer
+}
+
+func (c *sessionConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+
+func (c *sessionConn) Read(p []byte) (int, error) {
+	if err := c.flush(); err != nil {
+		return 0, err
+	}
+	return c.rw.Read(p)
+}
+
+// flush writes out everything buffered.
+func (c *sessionConn) flush() error {
+	_, err := c.out.WriteTo(c.rw)
+	return err
 }
 
 // acquireSlot is the admission gate. With MaxSessions unset it admits

@@ -148,11 +148,12 @@ func (r *TenantRegistry) SessionEnd(tenant string) {
 	}
 }
 
-// RecordServed counts a successfully served session for tenant.
-func (r *TenantRegistry) RecordServed(tenant string) {
+// addServed adds delta (two's complement to subtract) to tenant's count
+// of successfully served sessions.
+func (r *TenantRegistry) addServed(tenant string, delta uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.state(tenant).served++
+	r.state(tenant).served += delta
 }
 
 // RecordShed counts an admission shed against tenant.

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"shef/internal/axi"
-	"shef/internal/perf"
 )
 
 // BucketSlots is Z, the number of block slots per tree bucket. Z = 4 is
@@ -62,6 +61,12 @@ const maxLevels = 40
 // initSlabBuckets is how many buckets one initialisation write moves when
 // the batched path is enabled.
 const initSlabBuckets = 64
+
+// defaultBatchBuckets caps how many tree buckets one batched path
+// transaction carries (the controller's analogue of the Shield's
+// write-back window): longer contiguous runs of path buckets split into
+// separate ReadAuto/WriteAuto transfers.
+const defaultBatchBuckets = 8
 
 // Sentinel causes for the typed *Error.
 var (
@@ -96,7 +101,7 @@ func (e *Error) Unwrap() error { return e.Err }
 
 // Config describes an ORAM controller. The zero value of the optional
 // fields reproduces the classic geometry: unpadded buckets, batched path
-// I/O with the perf-default run cap, and a fully on-chip position map.
+// I/O with the default run cap, and a fully on-chip position map.
 type Config struct {
 	// Base is where the tree starts in the backend window.
 	Base uint64
@@ -117,7 +122,7 @@ type Config struct {
 	// layout.
 	ChunkAlign int
 	// BatchBuckets caps how many buckets one batched transaction carries;
-	// zero uses perf.Default().ORAMBatchBuckets.
+	// zero uses defaultBatchBuckets.
 	BatchBuckets int
 	// PosMapThreshold bounds the on-chip position map: while the table has
 	// more entries than this (and more than one position-map block's
@@ -187,7 +192,7 @@ func NewWithConfig(port axi.MemoryPort, cfg Config) (*ORAM, error) {
 	}
 	batch := cfg.BatchBuckets
 	if batch <= 0 {
-		batch = perf.Default().ORAMBatchBuckets
+		batch = defaultBatchBuckets
 	}
 	o := &ORAM{
 		port:     port,

@@ -55,44 +55,6 @@ type Params struct {
 	// ChunkTime — which is also what singleton runs always pay.
 	WritebackBatchChunks int
 
-	// PrefetchMinMisses is the sequential-stride detector's trigger: after
-	// this many consecutive ascending chunk misses in a region with
-	// SeqPrefetch enabled, the engine set services the run through stream
-	// windows transparently. Zero disables the prefetcher everywhere.
-	PrefetchMinMisses int
-
-	// PrefetchWindowChunks is how many chunks one prefetch window moves
-	// (capped by the engine set's staging window and buffer capacity).
-	PrefetchWindowChunks int
-
-	// RegionLookupEntries is the slot count of the Shield's region-lookup
-	// cache (the burst decoder's TLB): direct-mapped entries resolving an
-	// accelerator address to its protection zone in O(1) regardless of
-	// how many tenant zones exist. Zero selects the default geometry.
-	RegionLookupEntries int
-
-	// RegionLookupPageBytes is the coverage granule of one lookup-cache
-	// entry. Addresses are hashed to a slot by page number, so zones
-	// smaller than a page share slots and streaming access within a zone
-	// reuses one entry. Must be a power of two; zero selects the default.
-	RegionLookupPageBytes int
-
-	// RegionLookupHitCycles is the burst-decode cost of resolving an
-	// address through a valid lookup-cache entry (a CAM/BRAM probe,
-	// pipelined with decode).
-	RegionLookupHitCycles uint64
-
-	// RegionLookupMissCycles is the cost of a lookup-cache miss: walking
-	// the region table (a binary search over base-sorted zone descriptors
-	// held in on-chip RAM) and refilling the entry.
-	RegionLookupMissCycles uint64
-
-	// ORAMBatchBuckets caps how many tree buckets one batched ORAM path
-	// transaction carries (the oram controller's analogue of
-	// WritebackBatchChunks): contiguous runs of path buckets longer than
-	// this are split into separate ReadAuto/WriteAuto transfers.
-	ORAMBatchBuckets int
-
 	// CryptoEngine picks the functional crypto implementation the Shield's
 	// real data path runs on: "auto" (or empty — runtime detection plus a
 	// first-use micro-benchmark), "scalar" (the from-scratch reference
@@ -115,21 +77,7 @@ func Default() Params {
 		ShieldInitCycles:  40_000,
 
 		WritebackBatchChunks: 16,
-		PrefetchMinMisses:    4,
-		PrefetchWindowChunks: 16,
-		ORAMBatchBuckets:     8,
-
-		RegionLookupEntries:    1024,
-		RegionLookupPageBytes:  4096,
-		RegionLookupHitCycles:  1,
-		RegionLookupMissCycles: 40,
 	}
-}
-
-// RegionLookupCycles is the simulated burst-decode cost of region
-// resolution: hits probe the lookup cache, misses walk the region table.
-func (p Params) RegionLookupCycles(hits, misses uint64) uint64 {
-	return hits*p.RegionLookupHitCycles + misses*p.RegionLookupMissCycles
 }
 
 // DRAMCycles returns the cycle cost of moving n bytes in a single burst,

@@ -107,3 +107,19 @@ func TestStreamFillDrainIsNonBottleneckSum(t *testing.T) {
 		t.Errorf("pipelined total %d beats the bottleneck stage %d", total, n*a)
 	}
 }
+
+// TestZeroCryptoStagesReduceToBareForms: the unsecured baseline runs the
+// Shield's charges with every crypto stage at zero, which must reduce
+// them to the plain DRAM and on-chip copy forms.
+func TestZeroCryptoStagesReduceToBareForms(t *testing.T) {
+	p := Default()
+	f := func(d, c uint32) bool {
+		dram, cp := uint64(d), uint64(c)
+		return p.ChunkTime(dram, 0) == dram &&
+			p.StreamWindowTime(dram, 0, 0, cp) == p.StreamWindowTime(dram, cp) &&
+			p.StreamFillDrain(dram, 0, 0, cp) == p.StreamFillDrain(dram, cp)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -87,8 +87,8 @@ type RegionConfig struct {
 	// the buffer line is zeroed instead of fetched, avoiding a
 	// read-modify-write when chunks are written exactly once.
 	ZeroFillWrites bool
-	// SeqPrefetch arms the adaptive sequential prefetcher: after
-	// perf.Params.PrefetchMinMisses consecutive ascending chunk misses,
+	// SeqPrefetch arms the adaptive sequential prefetcher: after a few
+	// (prefetchMinMisses) consecutive ascending chunk misses,
 	// the engine set fetches ahead through pipelined stream windows, so
 	// chunk-at-a-time sequential access patterns get the streaming path's
 	// overlapped accounting without the accelerator calling ReadStream.

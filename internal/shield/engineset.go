@@ -9,9 +9,7 @@ import (
 	"sync/atomic"
 
 	"shef/internal/axi"
-	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/engine"
-	"shef/internal/crypto/sha256x"
 	"shef/internal/mem"
 	"shef/internal/perf"
 	"shef/internal/profiling"
@@ -22,6 +20,9 @@ import (
 // counters. It is the unit of parallelism in the Shield: engine sets
 // operate concurrently — in this reproduction as real goroutines — and the
 // performance model takes the maximum busy time across sets (paper §5.2.2).
+// The chunk crypto and its cycle cost come from the set's codec, so the
+// unsecured baseline (Baseline) is the same engine set with the identity
+// codec.
 //
 // All exported-to-Shield entry points (read, write, flush, the stats and
 // maintenance accessors) take mu; the lower-case helpers below them assume
@@ -32,10 +33,12 @@ import (
 type engineSet struct {
 	mu sync.Mutex
 
-	cfg      RegionConfig
-	regionID uint32
-	params   perf.Params
-	seal     *sealer
+	cfg    RegionConfig
+	params perf.Params
+	codec  chunkCodec
+	// tagBytes is codec.tagSize(): the tag stored per chunk, zero for a
+	// tagless codec, whose sets skip tag I/O altogether.
+	tagBytes int
 
 	// share points at the region table's materialised-set counter for
 	// this set's off-chip channel: each live set sees 1/share of the
@@ -107,12 +110,13 @@ type engineSet struct {
 	// fanWG establish the happens-before edges, so workers never touch
 	// mu. scratches holds one sealScratch per span slot — dedicated, not
 	// pooled, for the same GC-drain reason as win.
-	// inlineFan, sampled at provisioning time, records that the process
-	// has a single P: fanning spans out to pool workers then buys no
-	// parallelism, only a context switch per span, so runJob runs every
-	// span inline instead. The simulated cycle accounting is unaffected —
-	// poolCycles models the hardware engine pool analytically, not the
-	// host's execution strategy.
+	// inlineFan makes runJob run every span inline. It is set when the
+	// process has a single P at provisioning time — fanning spans out to
+	// pool workers then buys no parallelism, only a context switch per
+	// span — and for the identity codec, whose copies gain nothing from
+	// workers. The simulated cycle accounting is unaffected: the codec
+	// models the hardware engine pool analytically, not the host's
+	// execution strategy.
 	inlineFan bool
 
 	jobOpen       bool
@@ -159,10 +163,42 @@ type bufLine struct {
 	prev, next *bufLine
 }
 
-// newEngineSet builds the runtime for a region. Keys are derived from the
-// Data Encryption Key per region so that regions are cryptographically
+// newEngineSet builds the line-buffer core of a region over codec. It
+// charges no on-chip memory; newSealedSet adds that for the Shield.
+func newEngineSet(cfg RegionConfig, codec chunkCodec, tagBase uint64,
+	port axi.MemoryPort, params perf.Params) *engineSet {
+
+	s := &engineSet{
+		cfg:         cfg,
+		params:      params,
+		codec:       codec,
+		tagBytes:    codec.tagSize(),
+		tagBase:     tagBase,
+		port:        port,
+		lines:       make(map[int]*bufLine),
+		capacity:    cfg.bufferLines(),
+		seqNext:     -1,
+		inlineFan:   runtime.GOMAXPROCS(0) == 1,
+		counters:    make([]uint32, cfg.Chunks()),
+		initialized: make([]bool, cfg.Chunks()),
+	}
+	s.lruRoot.prev = &s.lruRoot
+	s.lruRoot.next = &s.lruRoot
+	s.linePool.New = func() any {
+		return &bufLine{data: make([]byte, cfg.ChunkSize)}
+	}
+	s.win = &streamWindow{
+		ct:   make([]byte, streamWindowChunks*cfg.ChunkSize),
+		tags: make([]byte, streamWindowChunks*s.tagBytes),
+	}
+	return s
+}
+
+// newSealedSet builds a Shield region's engine set: the sealer as codec
+// and its on-chip memory charged to ocm. Keys are derived from the Data
+// Encryption Key per region so that regions are cryptographically
 // isolated from one another.
-func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
+func newSealedSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 	port axi.MemoryPort, ocm *mem.OCM, params perf.Params) (*engineSet, error) {
 
 	kind, err := engine.ParseKind(params.CryptoEngine)
@@ -173,27 +209,7 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 	if err != nil {
 		return nil, err
 	}
-	s := &engineSet{
-		cfg:       cfg,
-		regionID:  regionID,
-		params:    params,
-		seal:      seal,
-		tagBase:   tagBase,
-		port:      port,
-		lines:     make(map[int]*bufLine),
-		capacity:  cfg.bufferLines(),
-		seqNext:   -1,
-		inlineFan: runtime.GOMAXPROCS(0) == 1,
-	}
-	s.lruRoot.prev = &s.lruRoot
-	s.lruRoot.next = &s.lruRoot
-	s.linePool.New = func() any {
-		return &bufLine{data: make([]byte, cfg.ChunkSize)}
-	}
-	s.win = &streamWindow{
-		ct:   make([]byte, streamWindowChunks*cfg.ChunkSize),
-		tags: make([]byte, streamWindowChunks*TagSize),
-	}
+	s := newEngineSet(cfg, seal, tagBase, port, params)
 	// Charge on-chip memory: the buffer, counters, and valid bits.
 	alloc := func(n int, what string) error {
 		if _, err := ocm.Alloc(n); err != nil {
@@ -218,8 +234,6 @@ func newEngineSet(cfg RegionConfig, regionID uint32, dek []byte, tagBase uint64,
 		return nil, err
 	}
 	s.metaOCMBytes += (cfg.Chunks() + 7) / 8
-	s.counters = make([]uint32, cfg.Chunks())
-	s.initialized = make([]bool, cfg.Chunks())
 	return s, nil
 }
 
@@ -323,56 +337,6 @@ func (s *engineSet) insertLine(chunk int, ln *bufLine) {
 	s.lruPush(ln)
 }
 
-// ctrBlocksPerChunk is the number of AES-CTR keystream blocks per chunk.
-func (s *engineSet) ctrBlocksPerChunk() int {
-	return (s.cfg.ChunkSize + aesx.BlockSize - 1) / aesx.BlockSize
-}
-
-// pmacBlocksPerChunk is the number of PMAC block computations per chunk
-// (one per data block plus the tag block), all served by the AES pool.
-func (s *engineSet) pmacBlocksPerChunk() int {
-	return s.ctrBlocksPerChunk() + 1
-}
-
-// poolCycles is the AES engine pool's time to serve n blocks: waves of
-// AESEngines blocks each at the engine's per-block latency.
-func (s *engineSet) poolCycles(blocks int) uint64 {
-	waves := uint64((blocks + s.cfg.AESEngines - 1) / s.cfg.AESEngines)
-	return waves * s.seal.engine.CyclesPerBlock()
-}
-
-// hmacCyclesPerChunk is the serial HMAC core's time for one chunk: ipad
-// block + message blocks + outer pass, one strictly serial stream.
-func (s *engineSet) hmacCyclesPerChunk() uint64 {
-	return uint64(3+(s.cfg.ChunkSize+sha256x.BlockSize-1)/sha256x.BlockSize) * hmacEngineCyclesPerBlock
-}
-
-// cryptoCycles is the engine-set crypto time for one chunk transfer. The
-// AES pool serves the CTR blocks plus, under PMAC, the MAC blocks; an HMAC
-// engine runs serially in parallel with decryption ("the engine set
-// decrypts and authenticates the returned ciphertext in parallel",
-// paper §5.2.2).
-func (s *engineSet) cryptoCycles() uint64 {
-	aesBlocks := s.ctrBlocksPerChunk()
-	if s.cfg.MAC == PMAC {
-		aesBlocks += s.pmacBlocksPerChunk()
-	}
-	aesCycles := s.poolCycles(aesBlocks)
-	if s.cfg.MAC == PMAC {
-		return aesCycles
-	}
-	if hmacCycles := s.hmacCyclesPerChunk(); hmacCycles > aesCycles {
-		return hmacCycles
-	}
-	return aesCycles
-}
-
-// hmacEngineCyclesPerBlock is the Shield HMAC core's cost per 64-byte SHA
-// block. The core is modestly unrolled (≈1.2 B/cycle) but strictly serial
-// within a stream — which is why SDP saturates on it until PMAC replaces
-// it (paper §6.2.3). Calibrated jointly with perf.Default (DESIGN.md §4).
-const hmacEngineCyclesPerBlock = 54
-
 // chargeChunk accounts one chunk movement (fetch or write-back): the DRAM
 // burst for data plus its tag (fetched in the same request window) and the
 // crypto stage, partially overlapped.
@@ -395,10 +359,10 @@ func (s *engineSet) shareNow() int {
 func (s *engineSet) chargeChunk() {
 	// The set experiences its bandwidth share; the channel-occupancy bound
 	// (Report.MemoryCycles) counts the bytes once at full channel rate.
-	dram := s.params.DRAMCyclesShared(s.cfg.ChunkSize+TagSize, s.shareNow())
-	crypto := s.cryptoCycles()
+	dram := s.params.DRAMCyclesShared(s.cfg.ChunkSize+s.tagBytes, s.shareNow())
+	crypto := s.codec.cryptoCycles()
 	s.busyCycles += s.params.ChunkTime(dram, crypto) + s.params.ChunkIssueCycles
-	s.dramCycles += s.params.DRAMCycles(s.cfg.ChunkSize + TagSize)
+	s.dramCycles += s.params.DRAMCycles(s.cfg.ChunkSize + s.tagBytes)
 }
 
 // chargeHit accounts a buffer hit: on-chip access only.
@@ -411,7 +375,7 @@ func (s *engineSet) chargeHit(nBytes int) {
 // dramAddrs returns the ciphertext and tag addresses of a chunk.
 func (s *engineSet) dramAddrs(chunk int) (data, tag uint64) {
 	data = s.cfg.Base + uint64(chunk*s.cfg.ChunkSize)
-	tag = s.tagBase + uint64(chunk*TagSize)
+	tag = s.tagBase + uint64(chunk*s.tagBytes)
 	return
 }
 
@@ -428,23 +392,25 @@ func (s *engineSet) batchChunks() int {
 	return n
 }
 
+// The adaptive sequential prefetcher's geometry: after prefetchMinMisses
+// consecutive ascending chunk misses in a region with SeqPrefetch, the
+// engine set services the run through windows of up to
+// prefetchWindowChunks chunks (at most one staging window).
+const (
+	prefetchMinMisses    = 4
+	prefetchWindowChunks = streamWindowChunks
+)
+
 // prefetchDegree is how many chunks one prefetch window may move, bounded
-// by the staging buffers and the on-chip buffer capacity.
+// by the staging window and the on-chip buffer capacity.
 func (s *engineSet) prefetchDegree() int {
-	n := s.params.PrefetchWindowChunks
-	if n < 1 || n > streamWindowChunks {
-		n = streamWindowChunks
-	}
-	if n > s.capacity {
-		n = s.capacity
-	}
-	return n
+	return min(prefetchWindowChunks, s.capacity)
 }
 
 // prefetchArmed reports whether the adaptive sequential prefetcher is
 // configured for this set.
 func (s *engineSet) prefetchArmed() bool {
-	return s.cfg.SeqPrefetch && s.params.PrefetchMinMisses > 0 && s.capacity > 1
+	return s.cfg.SeqPrefetch && s.capacity > 1
 }
 
 // load makes a chunk resident, fetching/decrypting/verifying on miss.
@@ -469,7 +435,7 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 			s.seqRun, s.seqStreak = 1, false
 		}
 		s.seqNext = chunk + 1
-		if s.prefetchArmed() && s.seqRun >= s.params.PrefetchMinMisses {
+		if s.prefetchArmed() && s.seqRun >= prefetchMinMisses {
 			// The detector fired: service the run through a pipelined
 			// stream window instead of a chunk-at-a-time fetch.
 			if err := s.prefetchRun(chunk); err != nil {
@@ -486,14 +452,8 @@ func (s *engineSet) load(chunk int, fill bool) (*bufLine, error) {
 	ln := s.linePool.Get().(*bufLine)
 	ln.dirty, ln.prefetched = false, false
 	if fill {
-		dataAddr, tagAddr := s.dramAddrs(chunk)
 		win := s.win
-		ct := win.ct[:s.cfg.ChunkSize]
-		if _, err := s.port.ReadBurst(dataAddr, ct); err != nil {
-			s.linePool.Put(ln)
-			return nil, err
-		}
-		if _, err := s.port.ReadBurst(tagAddr, win.tags[:TagSize]); err != nil {
+		if _, _, err := s.fetchRun(win, 0, chunk, 1); err != nil {
 			s.linePool.Put(ln)
 			return nil, err
 		}
@@ -539,11 +499,8 @@ func (s *engineSet) prefetchRun(c0 int) error {
 	}
 
 	win := s.win
-	dataAddr, tagAddr := s.dramAddrs(c0)
-	if _, err := s.port.ReadBurst(dataAddr, win.ct[:n*cs]); err != nil {
-		return err
-	}
-	if _, err := s.port.ReadBurst(tagAddr, win.tags[:n*TagSize]); err != nil {
+	dramBusy, dramBus, err := s.fetchRun(win, 0, c0, n)
+	if err != nil {
 		return err
 	}
 
@@ -576,11 +533,7 @@ func (s *engineSet) prefetchRun(c0 int) error {
 		// A window of one chunk is just the chunked fetch.
 		s.chargeChunk()
 	} else {
-		runBytes := n * (cs + TagSize)
-		extraBursts := uint64(axi.BurstsFor(runBytes) - 1)
-		dramBusy := s.params.DRAMCyclesShared(runBytes, s.shareNow()) + extraBursts*s.params.DRAMRequestCycles
-		dramBus := s.params.DRAMCycles(runBytes) + extraBursts*s.params.DRAMRequestCycles
-		pool, hmac := s.cryptoStages(n)
+		pool, hmac := s.codec.cryptoStages(n)
 		s.chargeOverlapped(dramBusy, dramBus, pool, hmac, uint64(n*cs)/64, !s.seqStreak)
 		s.seqStreak = true
 	}
@@ -691,11 +644,8 @@ func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
 			s.jobSlots[i], s.jobChunks[i], s.jobDsts[i] = i, c0+i, s.lines[c0+i].data
 		}
 		s.runJob(false, n)
-		dataAddr, tagAddr := s.dramAddrs(c0)
-		if _, err := s.port.WriteBurst(dataAddr, win.ct[:n*cs]); err != nil {
-			return err
-		}
-		if _, err := s.port.WriteBurst(tagAddr, win.tags[:n*TagSize]); err != nil {
+		dramBusy, dramBus, err := s.storeRun(win, 0, c0, n)
+		if err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -708,11 +658,7 @@ func (s *engineSet) writebackChunks(chunks []int, fillDrain bool) error {
 			s.chargeChunk()
 			return nil
 		}
-		runBytes := n * (cs + TagSize)
-		extraBursts := uint64(axi.BurstsFor(runBytes) - 1)
-		dramBusy := s.params.DRAMCyclesShared(runBytes, s.shareNow()) + extraBursts*s.params.DRAMRequestCycles
-		dramBus := s.params.DRAMCycles(runBytes) + extraBursts*s.params.DRAMRequestCycles
-		pool, hmac := s.cryptoStages(n)
+		pool, hmac := s.codec.cryptoStages(n)
 		s.chargeOverlapped(dramBusy, dramBus, pool, hmac, uint64(n*cs)/64, first)
 		first = false
 		s.batchedWritebacks += uint64(n)
@@ -785,26 +731,27 @@ func (s *engineSet) spanWork(w int) {
 	}
 	sc := s.scratches[w]
 	if sc == nil {
-		sc = s.seal.newScratch()
+		sc = s.codec.newScratch()
 		s.scratches[w] = sc
 	}
-	cs := s.cfg.ChunkSize
+	cs, tb := s.cfg.ChunkSize, s.tagBytes
 	win := s.win
 	for k := lo; k < hi; k++ {
 		slot, chunk := s.jobSlots[k], s.jobChunks[k]
 		ct := win.ct[slot*cs : (slot+1)*cs]
-		tag := win.tags[slot*TagSize : (slot+1)*TagSize]
+		tag := win.tags[slot*tb : (slot+1)*tb]
 		if s.jobOpen {
-			win.errs[k] = s.seal.openChunkWith(sc, s.jobDsts[k], chunk, s.counters[chunk], ct, tag)
+			win.errs[k] = s.codec.openChunkWith(sc, s.jobDsts[k], chunk, s.counters[chunk], ct, tag)
 		} else {
-			s.seal.sealChunkWith(sc, ct, tag, chunk, s.counters[chunk], s.jobDsts[k])
+			s.codec.sealChunkWith(sc, ct, tag, chunk, s.counters[chunk], s.jobDsts[k])
 		}
 	}
 }
 
 // ensureWorkers grows the persistent worker pool to at least k workers.
-// Workers live until releaseOCM retires the set; in steady state a job
-// costs no goroutine spawns and no closures.
+// Workers live until stopWorkers retires them (releaseOCM, detachMeta or
+// Shield.Close); in steady state a job costs no goroutine spawns and no
+// closures.
 func (s *engineSet) ensureWorkers(k int) {
 	if s.fanTasks == nil {
 		s.fanTasks = make(chan int, streamWindowChunks)
@@ -846,21 +793,6 @@ func (s *engineSet) stopWorkers() {
 		s.fanTasks = nil
 		s.fanWorkers = 0
 	}
-}
-
-// cryptoStages returns the engine-pool occupancy and serial-HMAC stage
-// times for a window of n chunks crossing the crypto pipeline.
-func (s *engineSet) cryptoStages(n int) (poolStage, hmacStage uint64) {
-	if n <= 0 {
-		return 0, 0
-	}
-	pool := n * s.ctrBlocksPerChunk()
-	if s.cfg.MAC == PMAC {
-		pool += n * s.pmacBlocksPerChunk()
-	} else {
-		hmacStage = uint64(n) * s.hmacCyclesPerChunk()
-	}
-	return s.poolCycles(pool), hmacStage
 }
 
 // chargeOverlapped accounts one pipeline window under the overlapped

@@ -2,7 +2,6 @@ package shield
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,30 +80,30 @@ type lookupEntry struct {
 // shootdown a DestroyRegion performs). Slots are atomic.Pointers so the
 // hit path is lock-free and allocation-free.
 type lookupCache struct {
-	slots []atomic.Pointer[lookupEntry]
-	mask  uint64
-	shift uint
+	slots [lookupEntries]atomic.Pointer[lookupEntry]
 }
 
-func newLookupCache(entries, pageBytes int) *lookupCache {
-	if entries <= 0 {
-		entries = 1024
-	}
-	if pageBytes <= 0 {
-		pageBytes = 4096
-	}
-	// Round both to powers of two: the slot index is a shift and mask.
-	entries = 1 << bits.Len(uint(entries-1))
-	pageBytes = 1 << bits.Len(uint(pageBytes-1))
-	return &lookupCache{
-		slots: make([]atomic.Pointer[lookupEntry], entries),
-		mask:  uint64(entries - 1),
-		shift: uint(bits.TrailingZeros(uint(pageBytes))),
-	}
+// The lookup cache's geometry and cost. lookupEntries direct-mapped slots
+// each cover one lookupPageBytes granule, so zones smaller than a page
+// share slots and streaming access within a zone reuses one entry; both
+// are powers of two, so the slot index is a shift and a mask. A hit is a
+// CAM/BRAM probe pipelined with burst decode; a miss walks the region
+// table (a binary search over base-sorted zone descriptors in on-chip
+// RAM) and refills the entry.
+const (
+	lookupEntries    = 1024
+	lookupPageBytes  = 4096
+	lookupHitCycles  = 1
+	lookupMissCycles = 40
+)
+
+// lookupCycles is the simulated burst-decode cost of region resolution.
+func lookupCycles(hits, misses uint64) uint64 {
+	return hits*lookupHitCycles + misses*lookupMissCycles
 }
 
 func (c *lookupCache) slot(addr uint64) *atomic.Pointer[lookupEntry] {
-	return &c.slots[(addr>>c.shift)&c.mask]
+	return &c.slots[addr/lookupPageBytes%lookupEntries]
 }
 
 // RegionTable owns the session's protection zones. All structural
@@ -135,11 +134,11 @@ type RegionTable struct {
 	// invalidating every installed entry.
 	epoch atomic.Uint64
 	// hits/misses are the deterministic resolution counters the sim cost
-	// model charges (perf.Params.RegionLookupCycles).
+	// model charges (lookupCycles).
 	hits, misses atomic.Uint64
 }
 
-func newRegionTable(tagBase uint64, acct *mem.Accountant, params perf.Params) *RegionTable {
+func newRegionTable(tagBase uint64, acct *mem.Accountant) *RegionTable {
 	return &RegionTable{
 		byKey:     make(map[string]*vRegion),
 		channels:  make(map[int]*atomic.Int64),
@@ -147,7 +146,7 @@ func newRegionTable(tagBase uint64, acct *mem.Accountant, params perf.Params) *R
 		tagBase:   tagBase,
 		tagCursor: tagBase,
 		tagFree:   make(map[uint64][]uint64),
-		cache:     newLookupCache(params.RegionLookupEntries, params.RegionLookupPageBytes),
+		cache:     new(lookupCache),
 	}
 }
 
@@ -224,7 +223,7 @@ func (t *RegionTable) resetLookupStats() {
 // regionQuotaFootprint computes the quota charges of a zone: DRAM is the
 // data plus its tag shadow; OCM is the worst-case metadata an engine set
 // will pin on-chip (buffer lines, freshness counters, valid bits) —
-// mirroring newEngineSet's charges exactly so a zone that passed
+// mirroring newSealedSet's charges exactly so a zone that passed
 // admission cannot fail materialisation on quota.
 func regionQuotaFootprint(rc RegionConfig) (dram, ocm uint64) {
 	chunks := uint64(rc.Chunks())
@@ -367,13 +366,13 @@ func (t *RegionTable) materialize(r *vRegion, dek []byte, port axi.MemoryPort,
 	if set := r.set.Load(); set != nil { // lost the race: someone built it
 		return set, nil
 	}
-	set, err := newEngineSet(r.cfg, r.id, dek, r.tagOff, port, ocm, params)
+	set, err := newSealedSet(r.cfg, r.id, dek, r.tagOff, port, ocm, params)
 	if err != nil {
 		return nil, fmt.Errorf("shield: tenant %q: region %q: %w", r.cfg.Tenant, r.cfg.Name, err)
 	}
 	if r.metaOCM > 0 {
 		// A reclaim kept the durable metadata resident (and charged);
-		// newEngineSet just charged it again, so return the stashed share
+		// newSealedSet just charged it again, so return the stashed share
 		// and hand the preserved state back to the set.
 		ocm.Free(r.metaOCM)
 		set.adoptMeta(r.savedCounters, r.savedInit)

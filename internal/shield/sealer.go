@@ -10,6 +10,7 @@ import (
 	"shef/internal/crypto/hmacx"
 	"shef/internal/crypto/kdf"
 	"shef/internal/crypto/pmacx"
+	"shef/internal/crypto/sha256x"
 )
 
 // sealer is the chunk cryptography of one region: key derivation, IVs, and
@@ -39,6 +40,28 @@ type sealer struct {
 	// path holds dedicated per-worker scratches instead, because a GC
 	// pass may drain a sync.Pool mid-stream and reintroduce allocations.
 	scratch sync.Pool
+}
+
+// chunkCodec is an engine set's per-chunk transform and its cycle model.
+// The sealer is the Shield's codec; plainCodec (baseline.go) is the
+// unsecured baseline's. Everything else about an engine set — the line
+// buffer, LRU, prefetcher, write-back, stream windows and DRAM charges —
+// is shared, so a shielded and a bare run differ exactly in what the codec
+// does and reports.
+type chunkCodec interface {
+	// newScratch builds one worker's working state.
+	newScratch() *sealScratch
+	// sealChunkWith turns one chunk of plaintext into ct and its tag.
+	sealChunkWith(sc *sealScratch, ct, tagOut []byte, chunk int, counter uint32, plain []byte)
+	// openChunkWith verifies ct against tag and recovers the plaintext.
+	openChunkWith(sc *sealScratch, dst []byte, chunk int, counter uint32, ct, tag []byte) error
+	// tagSize is the tag bytes stored per chunk.
+	tagSize() int
+	// cryptoCycles is one chunk's crypto-stage time on the chunked path.
+	cryptoCycles() uint64
+	// cryptoStages are the engine-pool and serial-MAC stage times of a
+	// pipeline window of n chunks.
+	cryptoStages(n int) (poolStage, hmacStage uint64)
 }
 
 // sealScratch is one in-flight chunk's working state: the MAC message
@@ -92,6 +115,73 @@ func (s *sealer) newScratch() *sealScratch {
 	}
 	return sc
 }
+
+func (s *sealer) tagSize() int { return TagSize }
+
+// ctrBlocksPerChunk is the number of AES-CTR keystream blocks per chunk.
+func (s *sealer) ctrBlocksPerChunk() int {
+	return (s.cfg.ChunkSize + aesx.BlockSize - 1) / aesx.BlockSize
+}
+
+// pmacBlocksPerChunk is the number of PMAC block computations per chunk
+// (one per data block plus the tag block), all served by the AES pool.
+func (s *sealer) pmacBlocksPerChunk() int {
+	return s.ctrBlocksPerChunk() + 1
+}
+
+// poolCycles is the AES engine pool's time to serve n blocks: waves of
+// AESEngines blocks each at the engine's per-block latency.
+func (s *sealer) poolCycles(blocks int) uint64 {
+	waves := uint64((blocks + s.cfg.AESEngines - 1) / s.cfg.AESEngines)
+	return waves * s.engine.CyclesPerBlock()
+}
+
+// hmacCyclesPerChunk is the serial HMAC core's time for one chunk: ipad
+// block + message blocks + outer pass, one strictly serial stream.
+func (s *sealer) hmacCyclesPerChunk() uint64 {
+	return uint64(3+(s.cfg.ChunkSize+sha256x.BlockSize-1)/sha256x.BlockSize) * hmacEngineCyclesPerBlock
+}
+
+// cryptoCycles is the engine-set crypto time for one chunk transfer. The
+// AES pool serves the CTR blocks plus, under PMAC, the MAC blocks; an HMAC
+// engine runs serially in parallel with decryption ("the engine set
+// decrypts and authenticates the returned ciphertext in parallel",
+// paper §5.2.2).
+func (s *sealer) cryptoCycles() uint64 {
+	aesBlocks := s.ctrBlocksPerChunk()
+	if s.cfg.MAC == PMAC {
+		aesBlocks += s.pmacBlocksPerChunk()
+	}
+	aesCycles := s.poolCycles(aesBlocks)
+	if s.cfg.MAC == PMAC {
+		return aesCycles
+	}
+	if hmacCycles := s.hmacCyclesPerChunk(); hmacCycles > aesCycles {
+		return hmacCycles
+	}
+	return aesCycles
+}
+
+// cryptoStages returns the engine-pool occupancy and serial-HMAC stage
+// times for a window of n chunks crossing the crypto pipeline.
+func (s *sealer) cryptoStages(n int) (poolStage, hmacStage uint64) {
+	if n <= 0 {
+		return 0, 0
+	}
+	pool := n * s.ctrBlocksPerChunk()
+	if s.cfg.MAC == PMAC {
+		pool += n * s.pmacBlocksPerChunk()
+	} else {
+		hmacStage = uint64(n) * s.hmacCyclesPerChunk()
+	}
+	return s.poolCycles(pool), hmacStage
+}
+
+// hmacEngineCyclesPerBlock is the Shield HMAC core's cost per 64-byte SHA
+// block. The core is modestly unrolled (≈1.2 B/cycle) but strictly serial
+// within a stream — which is why SDP saturates on it until PMAC replaces
+// it (paper §6.2.3). Calibrated jointly with perf.Default (DESIGN.md §4).
+const hmacEngineCyclesPerBlock = 54
 
 // iv derives the CTR IV for a chunk at a write epoch. Counter zero is the
 // initial (preload) epoch; regions without freshness stay at zero.

@@ -139,7 +139,7 @@ func (s *Shield) ProvisionLoadKey(lk *keywrap.Wrapped) error {
 	// (preserving the fixed-array design's region IDs and tag layout) and
 	// materialised eagerly so provisioning fails up front, DRAM shares
 	// match the static counts, and the first burst pays no build cost.
-	table := newRegionTable(s.tagBase, s.acct, s.params)
+	table := newRegionTable(s.tagBase, s.acct)
 	fail := func(err error) error {
 		table.releaseAll(s.ocm)
 		return err
@@ -358,6 +358,22 @@ func (s *Shield) Flush() error {
 	return errors.Join(errs...)
 }
 
+// Close retires every engine set's seal/open worker goroutines, so a
+// Shield that is done with leaves none behind. A later access starts
+// them again.
+func (s *Shield) Close() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.table == nil {
+		return
+	}
+	for _, r := range s.table.snapshot() {
+		if set := r.set.Load(); set != nil {
+			set.stopWorkers()
+		}
+	}
+}
+
 // InvalidateClean drops clean buffer lines (used by tests to force
 // re-fetch from DRAM and exercise the integrity path).
 func (s *Shield) InvalidateClean() {
@@ -455,10 +471,10 @@ type RegionStats struct {
 }
 
 // RegionLookupStats is the burst decoder's region-resolution activity:
-// lookup-cache hits and misses, and the simulated cycles they cost
-// (perf.Params.RegionLookupCycles). The counts are deterministic for a
-// deterministic access sequence, which is what lets benchtab gate lookup
-// overhead as a sim-* metric.
+// lookup-cache hits and misses, and the simulated cycles they cost (a
+// probe per hit, a region-table walk per miss). The counts are
+// deterministic for a deterministic access sequence, which is what lets
+// benchtab gate lookup overhead as a sim-* metric.
 type RegionLookupStats struct {
 	Hits, Misses uint64
 	Cycles       uint64
@@ -518,7 +534,7 @@ func (s *Shield) Report() Report {
 		rep.Lookup = RegionLookupStats{
 			Hits:   hits,
 			Misses: misses,
-			Cycles: s.params.RegionLookupCycles(hits, misses),
+			Cycles: lookupCycles(hits, misses),
 		}
 	}
 	if regs != nil {

@@ -51,16 +51,19 @@ type streamWindow struct {
 // fetchRun is the shared stage-1 fetch accounting: one batched AXI
 // transaction for runChunks chunks starting at chunk0, ciphertext and
 // tags landing in the window's staging at slot0, returning the busy-side
-// and bus-side DRAM charges. Every windowed data path (stream, gather)
-// uses it so the charge model lives in one place.
+// and bus-side DRAM charges. Every windowed data path (stream, gather,
+// prefetch) uses it so the charge model lives in one place. A tagless
+// codec skips the tag burst.
 func (s *engineSet) fetchRun(win *streamWindow, slot0, chunk0, runChunks int) (dramBusy, dramBus uint64, err error) {
-	cs := s.cfg.ChunkSize
+	cs, tb := s.cfg.ChunkSize, s.tagBytes
 	dataAddr, tagAddr := s.dramAddrs(chunk0)
 	if _, err := s.port.ReadBurst(dataAddr, win.ct[slot0*cs:(slot0+runChunks)*cs]); err != nil {
 		return 0, 0, err
 	}
-	if _, err := s.port.ReadBurst(tagAddr, win.tags[slot0*TagSize:(slot0+runChunks)*TagSize]); err != nil {
-		return 0, 0, err
+	if tb > 0 {
+		if _, err := s.port.ReadBurst(tagAddr, win.tags[slot0*tb:(slot0+runChunks)*tb]); err != nil {
+			return 0, 0, err
+		}
 	}
 	busy, bus := s.runCharge(runChunks)
 	return busy, bus, nil
@@ -69,13 +72,15 @@ func (s *engineSet) fetchRun(win *streamWindow, slot0, chunk0, runChunks int) (d
 // storeRun is fetchRun's write-side twin: one batched store for the
 // window's sealed ciphertext and tags at slot0.
 func (s *engineSet) storeRun(win *streamWindow, slot0, chunk0, runChunks int) (dramBusy, dramBus uint64, err error) {
-	cs := s.cfg.ChunkSize
+	cs, tb := s.cfg.ChunkSize, s.tagBytes
 	dataAddr, tagAddr := s.dramAddrs(chunk0)
 	if _, err := s.port.WriteBurst(dataAddr, win.ct[slot0*cs:(slot0+runChunks)*cs]); err != nil {
 		return 0, 0, err
 	}
-	if _, err := s.port.WriteBurst(tagAddr, win.tags[slot0*TagSize:(slot0+runChunks)*TagSize]); err != nil {
-		return 0, 0, err
+	if tb > 0 {
+		if _, err := s.port.WriteBurst(tagAddr, win.tags[slot0*tb:(slot0+runChunks)*tb]); err != nil {
+			return 0, 0, err
+		}
 	}
 	busy, bus := s.runCharge(runChunks)
 	return busy, bus, nil
@@ -84,7 +89,7 @@ func (s *engineSet) storeRun(win *streamWindow, slot0, chunk0, runChunks int) (d
 // runCharge prices one batched transaction of runChunks chunks plus their
 // tags: requests amortise per legal AXI burst, bandwidth per byte.
 func (s *engineSet) runCharge(runChunks int) (dramBusy, dramBus uint64) {
-	runBytes := runChunks * (s.cfg.ChunkSize + TagSize)
+	runBytes := runChunks * (s.cfg.ChunkSize + s.tagBytes)
 	extraBursts := uint64(axi.BurstsFor(runBytes) - 1)
 	return s.params.DRAMCyclesShared(runBytes, s.shareNow()) + extraBursts*s.params.DRAMRequestCycles,
 		s.params.DRAMCycles(runBytes) + extraBursts*s.params.DRAMRequestCycles
@@ -505,7 +510,7 @@ func (s *engineSet) writeWindowSlots(chunks, offs []int, data []byte, first bool
 // pipeline (reads served from resident lines or valid bits skip it);
 // chunks is everything the window moved, which is what Streamed reports.
 func (s *engineSet) chargeWindow(fetched, chunks, bytes int, dramBusy, dramBus uint64, first bool) {
-	poolStage, hmacStage := s.cryptoStages(fetched)
+	poolStage, hmacStage := s.codec.cryptoStages(fetched)
 	s.chargeOverlapped(dramBusy, dramBus, poolStage, hmacStage, uint64(bytes)/64, first)
 	s.streamed += uint64(chunks)
 	s.streamWindows++

@@ -219,7 +219,7 @@ func TestRegionLookupCacheCounts(t *testing.T) {
 	if lk.Misses > 4 {
 		t.Fatalf("%d lookup misses for a 4-page zone", lk.Misses)
 	}
-	if want := params.RegionLookupCycles(lk.Hits, lk.Misses); lk.Cycles != want {
+	if want := lookupCycles(lk.Hits, lk.Misses); lk.Cycles != want {
 		t.Fatalf("lookup cycles %d, want %d", lk.Cycles, want)
 	}
 	if rep.TotalCycles() <= rep.MemoryCycles()+rep.RegisterCycles+rep.InitCycles {
