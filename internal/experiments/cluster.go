@@ -120,6 +120,7 @@ func runClusterLoad(tc TimerControl, shards, workers, opsPerWorker int) (Cluster
 	if err != nil {
 		return ClusterRow{}, err
 	}
+	defer c.Close()
 	if err := c.RegisterUser("load", []byte("load-key")); err != nil {
 		return ClusterRow{}, err
 	}

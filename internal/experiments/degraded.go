@@ -60,8 +60,10 @@ func degradedClusterConfig(shards int) sdp.ClusterConfig {
 }
 
 // runDegradedWindow drives the shared Put/Get mix (1:3, like the scaling
-// sweep) for one measured window and returns the real ops/sec.
-func runDegradedWindow(c *sdp.Cluster, files []*clusterFile, workers, opsPerWorker int) (float64, error) {
+// sweep) for one measured window, one client per worker, and returns the
+// real ops/sec.
+func runDegradedWindow(clients []*sdp.Client, files []*clusterFile, opsPerWorker int) (float64, error) {
+	workers := len(clients)
 	errs := make([]error, workers)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -69,19 +71,19 @@ func runDegradedWindow(c *sdp.Cluster, files []*clusterFile, workers, opsPerWork
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			cl := clients[w]
+			var got []byte
+			var err error
 			phase := w * len(files) / workers
-			for i := 0; i < opsPerWorker; i++ {
+			for i := 0; i < opsPerWorker && err == nil; i++ {
 				f := files[(phase+i)%len(files)]
 				if i%(clusterGetsPut+1) == 0 {
-					if err := c.Put("load", f.name, f.payload); err != nil {
-						errs[w] = err
-						return
-					}
-				} else if _, err := c.Get("load", f.name); err != nil {
-					errs[w] = err
-					return
+					err = cl.Put("load", f.name, f.payload)
+				} else {
+					got, err = cl.Get("load", f.name, got)
 				}
 			}
+			errs[w] = err
 		}(w)
 	}
 	wg.Wait()
@@ -111,8 +113,21 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if err != nil {
 		return DegradedRow{}, err
 	}
+	defer c.Close()
 	if err := c.RegisterUser("load", []byte("load-key")); err != nil {
 		return DegradedRow{}, err
+	}
+	// Sessions survive the crash and restart, so the workers' clients
+	// serve both windows.
+	seeder, err := c.NewClient()
+	if err != nil {
+		return DegradedRow{}, err
+	}
+	clients := make([]*sdp.Client, workers)
+	for w := range clients {
+		if clients[w], err = c.NewClient(); err != nil {
+			return DegradedRow{}, err
+		}
 	}
 	files := make([]*clusterFile, clusterFiles)
 	for i, name := range clusterFileSet() {
@@ -121,10 +136,10 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 			payload[j] = byte(j + i*41)
 		}
 		files[i] = &clusterFile{name: name, payload: payload}
-		if err := c.Put("load", name, payload); err != nil {
+		if err := seeder.Put("load", name, payload); err != nil {
 			return DegradedRow{}, err
 		}
-		if _, err := c.Get("load", name); err != nil {
+		if _, err := seeder.Get("load", name, nil); err != nil {
 			return DegradedRow{}, err
 		}
 	}
@@ -132,7 +147,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if tc != nil {
 		tc.StartTimer()
 	}
-	healthy, err := runDegradedWindow(c, files, workers, opsPerWorker)
+	healthy, err := runDegradedWindow(clients, files, opsPerWorker)
 	if tc != nil {
 		tc.StopTimer()
 	}
@@ -147,7 +162,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 	if tc != nil {
 		tc.StartTimer()
 	}
-	degraded, err := runDegradedWindow(c, files, workers, opsPerWorker)
+	degraded, err := runDegradedWindow(clients, files, opsPerWorker)
 	if tc != nil {
 		tc.StopTimer()
 	}
@@ -165,7 +180,7 @@ func DegradedThroughput(tc TimerControl, scale Scale) (DegradedRow, error) {
 		return DegradedRow{}, err
 	}
 	for _, f := range files {
-		got, err := c.Get("load", f.name)
+		got, err := seeder.Get("load", f.name, nil)
 		if err != nil {
 			return DegradedRow{}, err
 		}

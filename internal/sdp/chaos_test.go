@@ -99,6 +99,7 @@ func TestChaosCrashRestartPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if err := c.RegisterUser("alice", []byte("alice-key")); err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +255,10 @@ func TestChaosCrashRestartPartition(t *testing.T) {
 	}
 
 	// No lost acknowledged write, and every replica set byte-identical.
+	cl := newClient(t, c)
 	for w := 0; w < workers; w++ {
 		for file, last := range acked[w] {
-			got, err := c.Get("alice", file)
+			got, err := cl.Get("alice", file, nil)
 			if err != nil {
 				t.Fatalf("acked file %s unreadable after recovery: %v", file, err)
 			}
@@ -319,6 +321,7 @@ func TestChaosCorruptedReplicaNoPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if err := c.RegisterUser("alice", []byte("alice-key")); err != nil {
 		t.Fatal(err)
 	}

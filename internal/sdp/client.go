@@ -1,6 +1,7 @@
 package sdp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strconv"
@@ -24,9 +25,9 @@ func shardLabel(i int) string {
 }
 
 // doOp wraps one client operation in the profiling label taxonomy
-// (sdp-op=put|get, sdp-shard=N) when a harness is active. The call is
-// explicitly branched at every site rather than funnelled through a
-// closure so the disabled path performs the operation directly — no
+// (sdp-op=put|get, sdp-shard=home) when a harness is active. Its two
+// callers, Client.write and Client.read, branch on profiling.Enabled()
+// first, so the disabled path performs the operation directly — no
 // closure escapes, no allocations, no label building.
 //
 //shef:guarded
@@ -56,19 +57,25 @@ type TLSSession struct {
 
 // NewTLSSession opens a Data Owner endpoint for this node's tls region.
 // (In the full protocol the Data Owner holds the session DEK from
-// attestation; here it comes from the node handle, like the legacy
-// in-process path.)
+// attestation; here it comes from the node handle.)
 func (n *Node) NewTLSSession() (*TLSSession, error) {
-	rs, err := shield.NewRegionSealer(n.tlsCfg, n.tlsLayout.RegionID, n.dek)
+	return newTLSSession(n.tlsCfg, n.tlsLayout.RegionID, n.dek)
+}
+
+// newTLSSession builds a session from what the Data Owner holds: the tls
+// region's configuration and ID and the shard's session DEK. No live
+// node is needed, so a client can open sessions to a crashed shard.
+func newTLSSession(cfg shield.RegionConfig, regionID uint32, dek []byte) (*TLSSession, error) {
+	rs, err := shield.NewRegionSealer(cfg, regionID, dek)
 	if err != nil {
 		return nil, err
 	}
-	size := int(n.tlsCfg.Size)
+	size := int(cfg.Size)
 	return &TLSSession{
 		rs:    rs,
-		chunk: n.cfg.AuthBlock,
+		chunk: cfg.ChunkSize,
 		ct:    make([]byte, size),
-		tags:  make([]byte, size/n.cfg.AuthBlock*shield.TagSize),
+		tags:  make([]byte, size/cfg.ChunkSize*shield.TagSize),
 		plain: make([]byte, size),
 	}, nil
 }
@@ -93,6 +100,16 @@ func (t *TLSSession) Seal(payload []byte) (ct, tags []byte, err error) {
 // Open verifies and decrypts a sealed response extent (from
 // Node.GetSealed) and appends the size payload bytes to dst.
 func (t *TLSSession) Open(dst, ct, tags []byte, size int) ([]byte, error) {
+	p, err := t.open(ct, tags, size)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst[:0], p...), nil
+}
+
+// open verifies and decrypts a sealed extent into the session's own
+// plaintext buffer, valid until the next Seal or open.
+func (t *TLSSession) open(ct, tags []byte, size int) ([]byte, error) {
 	aligned := alignUp(size, t.chunk)
 	if aligned > len(t.plain) || size < 0 {
 		return nil, fmt.Errorf("sdp: sealed response of %d bytes outside the tls region: %w", size, ErrBadResponse)
@@ -104,7 +121,7 @@ func (t *TLSSession) Open(dst, ct, tags []byte, size int) ([]byte, error) {
 	if err := t.rs.OpenRange(0, 0, t.plain[:aligned], ct[:aligned], tags[:k*shield.TagSize]); err != nil {
 		return nil, err
 	}
-	return append(dst[:0], t.plain[:size]...), nil
+	return t.plain[:size], nil
 }
 
 // Buffers exposes the session's reusable ciphertext/tag staging buffers,
@@ -113,8 +130,9 @@ func (t *TLSSession) Open(dst, ct, tags []byte, size int) ([]byte, error) {
 func (t *TLSSession) Buffers() (ct, tags []byte) { return t.ct, t.tags }
 
 // Client is a Data Owner endpoint onto the whole fleet: one TLSSession
-// per shard, with Put/Get routed like Cluster.Put/Cluster.Get but with
-// the client-side cryptography on the caller's goroutine. Not safe for
+// per shard, the client-side cryptography on the caller's goroutine, and
+// every request routed through the cluster's replica engine — a
+// single-copy fleet is the one-replica case of it. Not safe for
 // concurrent use; create one Client per worker.
 type Client struct {
 	c        *Cluster
@@ -123,15 +141,12 @@ type Client struct {
 
 // NewClient opens a Data Owner endpoint with a TLS session to every
 // shard. Sessions are keyed by each shard's stable session DEK, so they
-// survive shard crashes and restarts.
+// survive shard crashes and restarts, and a client can join while a
+// shard is down.
 func (c *Cluster) NewClient() (*Client, error) {
 	cl := &Client{c: c, sessions: make([]*TLSSession, len(c.slots))}
 	for i, slot := range c.slots {
-		n := slot.node.Load()
-		if n == nil {
-			return nil, &ShardError{Shard: i, Op: "session", Err: ErrShardDown}
-		}
-		t, err := n.NewTLSSession()
+		t, err := newTLSSession(slot.tlsCfg, slot.tlsID, slot.dek)
 		if err != nil {
 			return nil, fmt.Errorf("sdp: shard %d session: %w", i, err)
 		}
@@ -140,50 +155,41 @@ func (c *Cluster) NewClient() (*Client, error) {
 	return cl, nil
 }
 
+// write runs one write through the replica engine, labelled for the
+// profiling harness when one is active.
+func (cl *Client) write(ctx context.Context, user, name string, do replicaOp) error {
+	if profiling.Enabled() {
+		return doOp("put", cl.c.ShardFor(name), func() error {
+			return cl.c.writeReplicas(ctx, user, name, do)
+		})
+	}
+	return cl.c.writeReplicas(ctx, user, name, do)
+}
+
+// read is write's counterpart for reads.
+func (cl *Client) read(ctx context.Context, name string, do replicaOp) error {
+	if profiling.Enabled() {
+		return doOp("get", cl.c.ShardFor(name), func() error {
+			return cl.c.readReplicas(ctx, name, do)
+		})
+	}
+	return cl.c.readReplicas(ctx, name, do)
+}
+
 // Put seals the payload on the client's goroutine and stores it on the
-// file's replica set (the home shard alone in single-copy mode). Each
-// replica gets its own seal — sessions are per-shard — so a corrupted
-// copy on one replica can never authenticate on another.
+// file's replica set. Each replica gets its own seal — sessions are
+// per-shard — so a corrupted copy on one replica can never authenticate
+// on another.
 func (cl *Client) Put(user, name string, payload []byte) error {
 	return cl.PutCtx(context.Background(), user, name, payload)
 }
 
-// PutCtx is Put with caller-controlled cancellation.
+// PutCtx is Put with caller-controlled cancellation. An injected
+// corruption fault mangles the sealed image in transit: the node's tls
+// engine set refuses it, the attempt fails authenticated-closed, and the
+// retry re-seals cleanly.
 func (cl *Client) PutCtx(ctx context.Context, user, name string, payload []byte) error {
-	if cl.c.resilient() {
-		if profiling.Enabled() {
-			return doOp("put", cl.c.ShardFor(name), func() error {
-				return cl.putResilient(ctx, user, name, payload)
-			})
-		}
-		return cl.putResilient(ctx, user, name, payload)
-	}
-	i := cl.c.ShardFor(name)
-	if profiling.Enabled() {
-		return doOp("put", i, func() error { return cl.put(i, user, name, payload) })
-	}
-	return cl.put(i, user, name, payload)
-}
-
-func (cl *Client) put(i int, user, name string, payload []byte) error {
-	ct, tags, err := cl.sessions[i].Seal(payload)
-	if err == nil {
-		err = cl.c.slots[i].node.Load().PutSealed(user, name, len(payload), ct, tags)
-	}
-	if err != nil {
-		cl.c.errs.Add(1)
-		return err
-	}
-	cl.c.puts.Add(1)
-	return nil
-}
-
-// putResilient writes through the replica machinery, re-sealing per
-// replica on that replica's session. An injected corruption fault mangles
-// the sealed image in transit — the node's tls engine set refuses it, the
-// attempt fails authenticated-closed, and the retry re-seals cleanly.
-func (cl *Client) putResilient(ctx context.Context, user, name string, payload []byte) error {
-	return cl.c.writeReplicas(ctx, user, name, func(shard int, n *Node, fi faultinject.Result) error {
+	return cl.write(ctx, user, name, func(shard int, n *Node, fi faultinject.Result) error {
 		ct, tags, err := cl.sessions[shard].Seal(payload)
 		if err != nil {
 			return reject(err)
@@ -197,32 +203,36 @@ func (cl *Client) putResilient(ctx context.Context, user, name string, payload [
 
 // PutSealed stores a pre-sealed image (from Seal on the file's home
 // shard session) — the loadgen path, where one sealed request image is
-// replayed many times without resealing. In replicated mode the image is
-// opened to recover the payload and re-sealed per replica (each shard
-// seals under its own session DEK).
+// replayed many times without resealing. The home replica stores the
+// image as given; every other replica seals under its own session DEK,
+// so the image is opened once for them.
 func (cl *Client) PutSealed(user, name string, size int, ct, tags []byte) error {
-	i := cl.c.ShardFor(name)
-	if cl.c.resilient() {
-		plain, err := cl.sessions[i].Open(nil, ct, tags, size)
+	home := cl.c.ShardFor(name)
+	var payload []byte
+	if cl.c.cfg.Replicas > 1 {
+		p, err := cl.sessions[home].open(ct, tags, size)
 		if err != nil {
 			cl.c.errs.Add(1)
 			return err
 		}
-		return cl.PutCtx(context.Background(), user, name, plain)
+		payload = p
 	}
-	if profiling.Enabled() {
-		return doOp("put", i, func() error { return cl.putSealed(i, user, name, size, ct, tags) })
-	}
-	return cl.putSealed(i, user, name, size, ct, tags)
-}
-
-func (cl *Client) putSealed(i int, user, name string, size int, ct, tags []byte) error {
-	if err := cl.c.slots[i].node.Load().PutSealed(user, name, size, ct, tags); err != nil {
-		cl.c.errs.Add(1)
-		return err
-	}
-	cl.c.puts.Add(1)
-	return nil
+	return cl.write(context.Background(), user, name, func(shard int, n *Node, fi faultinject.Result) error {
+		sct, stags := ct, tags
+		if shard != home {
+			var err error
+			if sct, stags, err = cl.sessions[shard].Seal(payload); err != nil {
+				return reject(err)
+			}
+		}
+		if fi.Corrupt {
+			if shard == home {
+				sct = bytes.Clone(sct) // the caller's image must survive for its replays
+			}
+			faultinject.CorruptBytes(sct, fi.CorruptSeed)
+		}
+		return n.PutSealed(user, name, size, sct, stags)
+	})
 }
 
 // Session returns the client's TLS session for the shard that owns name.
@@ -231,116 +241,54 @@ func (cl *Client) Session(name string) *TLSSession {
 }
 
 // Get fetches a file, opening the sealed response on the client's
-// goroutine, and appends the payload to dst. In replicated mode the read
-// falls back replica by replica: a replica whose sealed response fails
-// authentication (corrupted storage or transit) is treated as a failed
-// replica and the next one serves.
+// goroutine, and appends the payload to dst. The read falls back replica
+// by replica: a replica whose sealed response fails authentication
+// (corrupted storage or transit) is treated as a failed replica and the
+// next one serves.
 func (cl *Client) Get(user, name string, dst []byte) ([]byte, error) {
 	return cl.GetCtx(context.Background(), user, name, dst)
 }
 
 // GetCtx is Get with caller-controlled cancellation.
 func (cl *Client) GetCtx(ctx context.Context, user, name string, dst []byte) ([]byte, error) {
-	if cl.c.resilient() {
-		var out []byte
-		read := func(shard int, n *Node, fi faultinject.Result) error {
-			t := cl.sessions[shard]
-			size, err := n.GetSealed(user, name, t.ct, t.tags)
-			if err != nil {
-				return err
-			}
-			if fi.Corrupt {
-				faultinject.CorruptBytes(t.ct[:alignUp(size, t.chunk)], fi.CorruptSeed)
-			}
-			o, err := t.Open(dst, t.ct, t.tags, size)
-			if err != nil {
-				return err
-			}
-			out = o
-			return nil
-		}
-		if profiling.Enabled() {
-			err := doOp("get", cl.c.ShardFor(name), func() error {
-				return cl.c.readReplicas(ctx, name, read)
-			})
-			return out, err
-		}
-		return out, cl.c.readReplicas(ctx, name, read)
-	}
-	i := cl.c.ShardFor(name)
-	if profiling.Enabled() {
-		var out []byte
-		err := doOp("get", i, func() error {
-			var err error
-			out, err = cl.get(i, user, name, dst)
+	var out []byte
+	err := cl.read(ctx, name, func(shard int, n *Node, fi faultinject.Result) error {
+		t, size, err := cl.fetch(shard, n, user, name, fi)
+		if err != nil {
 			return err
-		})
-		return out, err
-	}
-	return cl.get(i, user, name, dst)
-}
-
-func (cl *Client) get(i int, user, name string, dst []byte) ([]byte, error) {
-	t := cl.sessions[i]
-	size, err := cl.c.slots[i].node.Load().GetSealed(user, name, t.ct, t.tags)
-	if err != nil {
-		cl.c.errs.Add(1)
-		return nil, err
-	}
-	out, err := t.Open(dst, t.ct, t.tags, size)
-	if err != nil {
-		cl.c.errs.Add(1)
-		return nil, err
-	}
-	cl.c.gets.Add(1)
-	return out, nil
+		}
+		out, err = t.Open(dst, t.ct, t.tags, size)
+		return err
+	})
+	return out, err
 }
 
 // GetSealed fetches a file's sealed response into the serving shard's
 // session staging buffers without opening it — the loadgen path,
 // measuring server-side serving with the client-side open sampled
 // separately. Returns the payload size and the session holding the
-// sealed bytes (the home shard's in single-copy mode; in replicated mode
-// whichever replica served the read).
+// sealed bytes (whichever replica served the read).
 func (cl *Client) GetSealed(user, name string) (int, *TLSSession, error) {
-	if cl.c.resilient() {
-		var size int
-		var t *TLSSession
-		err := cl.c.readReplicas(context.Background(), name, func(shard int, n *Node, fi faultinject.Result) error {
-			s := cl.sessions[shard]
-			sz, err := n.GetSealed(user, name, s.ct, s.tags)
-			if err != nil {
-				return err
-			}
-			if fi.Corrupt {
-				faultinject.CorruptBytes(s.ct[:alignUp(sz, s.chunk)], fi.CorruptSeed)
-			}
-			size, t = sz, s
-			return nil
-		})
-		return size, t, err
-	}
-	i := cl.c.ShardFor(name)
-	if profiling.Enabled() {
-		var size int
-		var t *TLSSession
-		err := doOp("get", i, func() error {
-			var err error
-			size, t, err = cl.getSealed(i, user, name)
-			return err
-		})
-		return size, t, err
-	}
-	return cl.getSealed(i, user, name)
+	var size int
+	var t *TLSSession
+	err := cl.read(context.Background(), name, func(shard int, n *Node, fi faultinject.Result) error {
+		var err error
+		t, size, err = cl.fetch(shard, n, user, name, fi)
+		return err
+	})
+	return size, t, err
 }
 
-func (cl *Client) getSealed(i int, user, name string) (int, *TLSSession, error) {
-	t := cl.sessions[i]
-	size, err := cl.c.slots[i].node.Load().GetSealed(user, name, t.ct, t.tags)
+// fetch reads a file's sealed response from one replica into that
+// shard's session buffers, applying an injected corruption in transit.
+func (cl *Client) fetch(shard int, n *Node, user, name string, fi faultinject.Result) (*TLSSession, int, error) {
+	t := cl.sessions[shard]
+	size, err := n.GetSealed(user, name, t.ct, t.tags)
 	if err != nil {
-		cl.c.errs.Add(1)
-		return 0, nil, err
+		return nil, 0, err
 	}
-	cl.c.gets.Add(1)
-	return size, t, nil
+	if fi.Corrupt {
+		faultinject.CorruptBytes(t.ct[:alignUp(size, t.chunk)], fi.CorruptSeed)
+	}
+	return t, size, nil
 }

@@ -1,7 +1,6 @@
 package sdp
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -13,9 +12,8 @@ import (
 	"shef/internal/crypto/aesx"
 	"shef/internal/crypto/hmacx"
 	"shef/internal/crypto/kdf"
-	"shef/internal/faultinject"
 	"shef/internal/perf"
-	"shef/internal/profiling"
+	"shef/internal/shield"
 )
 
 // ClusterConfig sizes an SDP cluster: the paper's single Storage Node case
@@ -32,8 +30,9 @@ type ClusterConfig struct {
 	// Replicas places each file on this many successor shards (home shard
 	// plus Replicas-1 followers). Writes need a majority write quorum
 	// (Replicas/2+1) to acknowledge; reads fall back replica by replica;
-	// Sync runs anti-entropy repair across the set. 0 or 1 keeps the
-	// original single-copy placement with its unchanged fast path.
+	// Sync runs anti-entropy repair across the set. 0 means 1: the home
+	// shard alone, still served by the same replica engine (retries and
+	// the health detector included).
 	Replicas int
 	// Retry tunes the per-replica retry loop (zero value: defaults).
 	Retry RetryPolicy
@@ -229,22 +228,25 @@ func parseKeyDB(plain []byte) (map[string][]byte, error) {
 
 // shardSlot is one shard's mount point in the cluster: the node pointer
 // (atomically swappable so crash/restart never races concurrent ops), the
-// shard's session DEK (stable across restarts so client TLS sessions
-// survive them), its failure detector, and its partition flag.
+// shard's session DEK and tls region (stable across restarts, so client
+// TLS sessions survive them and can be opened while the shard is down),
+// its failure detector, and its partition flag.
 type shardSlot struct {
 	node        atomic.Pointer[Node]
 	dek         []byte
+	tlsCfg      shield.RegionConfig
+	tlsID       uint32
 	partitioned atomic.Bool
 	health      healthFSM
 }
 
-// Cluster is a fleet of Storage Nodes behind one Controller Node. Put/Get
-// route by hashed file name; operations against different shards run in
-// parallel (each node serialises internally), which is where the
-// "millions of users" aggregate throughput comes from. With Replicas > 1
-// the cluster is self-healing: reads fall back across a file's replica
-// set, writes acknowledge at a majority quorum, and Sync repairs
-// divergence.
+// Cluster is a fleet of Storage Nodes behind one Controller Node. Data
+// Owners reach it through Clients, whose requests route by hashed file
+// name; operations against different shards run in parallel (each node
+// serialises internally), which is where the "millions of users"
+// aggregate throughput comes from. With Replicas > 1 the cluster is
+// self-healing: reads fall back across a file's replica set, writes
+// acknowledge at a majority quorum, and Sync repairs divergence.
 type Cluster struct {
 	cfg   ClusterConfig
 	ctrl  *Controller
@@ -272,6 +274,12 @@ type Cluster struct {
 	fileLocks [64]sync.Mutex
 
 	puts, gets, errs atomic.Uint64
+
+	// retired holds the nodes CrashShard and RestartShard dropped: an
+	// operation in flight may still finish on one, so they are closed
+	// with the cluster rather than when dropped.
+	retiredMu sync.Mutex
+	retired   []*Node
 
 	// Resilience counters: retries after transient failures, reads served
 	// by a non-primary replica, files repaired by anti-entropy, writes
@@ -338,16 +346,47 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 			c.slots[i].node.Store(n)
 			c.slots[i].dek = dek
+			c.slots[i].tlsCfg, c.slots[i].tlsID = n.tlsCfg, n.tlsLayout.RegionID
 		}(i)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
+		c.Close()
 		return nil, err
 	}
 	if err := c.reprovision(); err != nil {
+		c.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// Close stops the worker goroutines of every node, live or dropped by
+// CrashShard and RestartShard, so a discarded fleet leaves nothing
+// running and its device memory unreachable. Every shard reads as down
+// afterwards; the cluster must not be used again.
+func (c *Cluster) Close() {
+	for _, slot := range c.slots {
+		if n := slot.node.Swap(nil); n != nil {
+			n.Close()
+		}
+	}
+	c.retiredMu.Lock()
+	defer c.retiredMu.Unlock()
+	for _, n := range c.retired {
+		n.Close()
+	}
+	c.retired = nil
+}
+
+// retire keeps a dropped node for Close.
+func (c *Cluster) retire(n *Node) {
+	if n == nil {
+		return
+	}
+	c.retiredMu.Lock()
+	c.retired = append(c.retired, n)
+	c.retiredMu.Unlock()
 }
 
 // reprovision pushes the CN's current key database to every shard.
@@ -458,109 +497,6 @@ func (c *Cluster) Shards() int { return len(c.slots) }
 // Node exposes one shard (tests, per-shard reports). A crashed shard is
 // nil until RestartShard brings it back.
 func (c *Cluster) Node(i int) *Node { return c.slots[i].node.Load() }
-
-// resilient reports whether operations must take the replica-aware
-// retry path. Single-copy clusters with no fault plan active keep the
-// original direct path — one atomic pointer load over the old code.
-func (c *Cluster) resilient() bool {
-	return c.cfg.Replicas > 1 || faultinject.Enabled()
-}
-
-// Put stores a file on its replica set (write-quorum acknowledged) —
-// the home shard alone in single-copy mode.
-func (c *Cluster) Put(user, name string, payload []byte) error {
-	return c.PutCtx(context.Background(), user, name, payload)
-}
-
-// PutCtx is Put with caller-controlled cancellation: the context is
-// checked between retries and replica attempts.
-func (c *Cluster) PutCtx(ctx context.Context, user, name string, payload []byte) error {
-	if c.resilient() {
-		if profiling.Enabled() {
-			return doOp("put", c.ShardFor(name), func() error {
-				return c.putReplicated(ctx, user, name, payload)
-			})
-		}
-		return c.putReplicated(ctx, user, name, payload)
-	}
-	i := c.ShardFor(name)
-	if profiling.Enabled() {
-		return doOp("put", i, func() error { return c.put(i, user, name, payload) })
-	}
-	return c.put(i, user, name, payload)
-}
-
-func (c *Cluster) put(i int, user, name string, payload []byte) error {
-	n := c.slots[i].node.Load()
-	if n == nil {
-		c.errs.Add(1)
-		return &ShardError{Shard: i, Op: "put", Err: ErrShardDown}
-	}
-	err := n.Put(user, name, payload)
-	if err != nil {
-		c.errs.Add(1)
-		return err
-	}
-	c.puts.Add(1)
-	return nil
-}
-
-func (c *Cluster) putReplicated(ctx context.Context, user, name string, payload []byte) error {
-	return c.writeReplicas(ctx, user, name, func(_ int, n *Node, _ faultinject.Result) error {
-		return n.Put(user, name, payload)
-	})
-}
-
-// Get fetches a file, falling back replica by replica when shards are
-// down — the home shard alone in single-copy mode.
-func (c *Cluster) Get(user, name string) ([]byte, error) {
-	return c.GetCtx(context.Background(), user, name)
-}
-
-// GetCtx is Get with caller-controlled cancellation.
-func (c *Cluster) GetCtx(ctx context.Context, user, name string) ([]byte, error) {
-	if c.resilient() {
-		var data []byte
-		read := func(_ int, n *Node, _ faultinject.Result) error {
-			var err error
-			data, err = n.Get(user, name)
-			return err
-		}
-		if profiling.Enabled() {
-			err := doOp("get", c.ShardFor(name), func() error {
-				return c.readReplicas(ctx, name, read)
-			})
-			return data, err
-		}
-		return data, c.readReplicas(ctx, name, read)
-	}
-	i := c.ShardFor(name)
-	if profiling.Enabled() {
-		var data []byte
-		err := doOp("get", i, func() error {
-			var err error
-			data, err = c.get(i, user, name)
-			return err
-		})
-		return data, err
-	}
-	return c.get(i, user, name)
-}
-
-func (c *Cluster) get(i int, user, name string) ([]byte, error) {
-	n := c.slots[i].node.Load()
-	if n == nil {
-		c.errs.Add(1)
-		return nil, &ShardError{Shard: i, Op: "get", Err: ErrShardDown}
-	}
-	data, err := n.Get(user, name)
-	if err != nil {
-		c.errs.Add(1)
-		return nil, err
-	}
-	c.gets.Add(1)
-	return data, nil
-}
 
 // ClusterStats aggregates fleet activity.
 type ClusterStats struct {

@@ -21,17 +21,19 @@ func TestClusterEngineParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer c.Close()
 		if err := c.RegisterUser("alice", []byte("alice-key")); err != nil {
 			t.Fatal(err)
 		}
+		cl := newClient(t, c)
 		var got [][]byte
 		for i := 0; i < 6; i++ {
 			name := fmt.Sprintf("file-%d", i)
 			payload := bytes.Repeat([]byte{byte(i + 1)}, 2000+i*777)
-			if err := c.Put("alice", name, payload); err != nil {
+			if err := cl.Put("alice", name, payload); err != nil {
 				t.Fatal(err)
 			}
-			data, err := c.Get("alice", name)
+			data, err := cl.Get("alice", name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -107,6 +107,7 @@ func TestObliviousCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if err := c.RegisterUser("u", []byte("u-key")); err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +116,17 @@ func TestObliviousCluster(t *testing.T) {
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		cl := newClient(t, c)
 		go func(w int) {
 			defer wg.Done()
 			for f := 0; f < files; f++ {
 				name := fmt.Sprintf("w%d-f%d", w, f)
 				payload := bytes.Repeat([]byte{byte(w*16 + f)}, 5000)
-				if err := c.Put("u", name, payload); err != nil {
+				if err := cl.Put("u", name, payload); err != nil {
 					errs[w] = err
 					return
 				}
-				got, err := c.Get("u", name)
+				got, err := cl.Get("u", name, nil)
 				if err != nil {
 					errs[w] = err
 					return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -19,15 +20,18 @@ const (
 	FaultSiteGet = "sdp.get"
 )
 
-// replicaSet lists the shards holding a file: the home shard plus its
-// Replicas-1 successors on the ring, in placement order.
-func (c *Cluster) replicaSet(name string) []int {
+// stackReplicas sizes the arrays an operation builds its replica orders
+// in, on its own stack: a larger replica set spills to the heap.
+const stackReplicas = 8
+
+// appendReplicas appends the shards holding a file to dst: the home shard
+// plus its Replicas-1 successors on the ring, in placement order.
+func (c *Cluster) appendReplicas(dst []int, name string) []int {
 	home := c.ShardFor(name)
-	reps := make([]int, c.cfg.Replicas)
-	for k := range reps {
-		reps[k] = (home + k) % len(c.slots)
+	for k := 0; k < c.cfg.Replicas; k++ {
+		dst = append(dst, (home+k)%len(c.slots))
 	}
-	return reps
+	return dst
 }
 
 // fileLock returns the stripe mutex serializing replicated writes and
@@ -49,31 +53,23 @@ type fileMeta struct {
 	acked []int
 }
 
-// readOrder is the replica order a read walks: witnesses of the last
-// acknowledged write first, then the rest of the placement order. Without
-// this, a primary that missed an acknowledged write (transient fault,
-// crash window) would serve its stale copy to a reader while perfectly
-// fresh replicas sat idle behind it.
-func (c *Cluster) readOrder(name string) []int {
-	reps := c.replicaSet(name)
+// appendReadOrder appends the replica order a read walks to dst:
+// witnesses of the last acknowledged write first, then the rest of the
+// placement order. Without this, a primary that missed an acknowledged
+// write (transient fault, crash window) would serve its stale copy to a
+// reader while perfectly fresh replicas sat idle behind it.
+func (c *Cluster) appendReadOrder(dst []int, name string) []int {
 	c.regMu.RLock()
-	meta, ok := c.registry[name]
+	acked := c.registry[name].acked
 	c.regMu.RUnlock()
-	if !ok || len(meta.acked) == 0 {
-		return reps
-	}
-	witness := make(map[int]bool, len(meta.acked))
-	for _, s := range meta.acked {
-		witness[s] = true
-	}
-	order := make([]int, 0, len(reps))
-	order = append(order, meta.acked...)
-	for _, s := range reps {
-		if !witness[s] {
-			order = append(order, s)
+	dst = append(dst, acked...)
+	var buf [stackReplicas]int
+	for _, s := range c.appendReplicas(buf[:0], name) {
+		if !slices.Contains(acked, s) {
+			dst = append(dst, s)
 		}
 	}
-	return order
+	return dst
 }
 
 // opDeadline starts one operation's time budget.
@@ -189,7 +185,8 @@ func (c *Cluster) tryReplica(ctx context.Context, site string, shard int, deadli
 // returns the first rejection (the authoritative answer); any
 // infrastructure failure in the mix degrades the read.
 func (c *Cluster) readReplicas(ctx context.Context, name string, do replicaOp) error {
-	reps := c.readOrder(name)
+	var buf [stackReplicas]int
+	reps := c.appendReadOrder(buf[:0], name)
 	deadline := c.opDeadline()
 	var firstApp, firstInfra error
 	for idx, shard := range reps {
@@ -231,10 +228,11 @@ func (c *Cluster) writeReplicas(ctx context.Context, user, name string, do repli
 	mu := c.fileLock(name)
 	mu.Lock()
 	defer mu.Unlock()
-	reps := c.replicaSet(name)
+	var repBuf, ackBuf [stackReplicas]int
+	reps := c.appendReplicas(repBuf[:0], name)
 	quorum := len(reps)/2 + 1
 	deadline := c.opDeadline()
-	var ackedShards []int
+	ackedShards := ackBuf[:0]
 	var firstApp, firstInfra error
 	for _, shard := range reps {
 		err := c.tryReplica(ctx, FaultSitePut, shard, deadline, do)
@@ -274,10 +272,20 @@ func (c *Cluster) writeReplicas(ctx context.Context, user, name string, do repli
 }
 
 // registerFile records an acknowledged write and its witness set in the
-// CN-side file index anti-entropy walks.
+// CN-side file index anti-entropy walks. A write with the same owner and
+// witnesses as the last one (the steady state) changes nothing; a new
+// set is stored as a copy, since acked may live on the caller's stack.
+// Callers hold the file's lock, so the check and the store cannot race
+// another write of the same file.
 func (c *Cluster) registerFile(name, user string, acked []int) {
+	c.regMu.RLock()
+	meta, ok := c.registry[name]
+	c.regMu.RUnlock()
+	if ok && meta.user == user && slices.Equal(meta.acked, acked) {
+		return
+	}
 	c.regMu.Lock()
-	c.registry[name] = fileMeta{user: user, acked: acked}
+	c.registry[name] = fileMeta{user: user, acked: slices.Clone(acked)}
 	c.regMu.Unlock()
 }
 
@@ -287,7 +295,7 @@ func (c *Cluster) registerFile(name, user string, acked []int) {
 // consistent instance and new ones fail with ErrShardDown until
 // RestartShard.
 func (c *Cluster) CrashShard(i int) {
-	c.slots[i].node.Store(nil)
+	c.retire(c.slots[i].node.Swap(nil))
 }
 
 // RestartShard boots a replacement node for a crashed shard with the
@@ -302,7 +310,7 @@ func (c *Cluster) RestartShard(i int) error {
 	if err != nil {
 		return &ShardError{Shard: i, Op: "restart", Err: err}
 	}
-	slot.node.Store(n)
+	c.retire(slot.node.Swap(n))
 	slot.partitioned.Store(false)
 	if err := c.reprovisionShard(i); err != nil {
 		return err
@@ -387,7 +395,7 @@ func (c *Cluster) repairFile(name string, meta fileMeta) error {
 	}
 	c.regMu.RUnlock()
 	user := meta.user
-	reps := c.replicaSet(name)
+	reps := c.appendReplicas(nil, name)
 	type version struct {
 		shard int
 		data  []byte

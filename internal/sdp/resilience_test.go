@@ -34,6 +34,7 @@ func newReplicatedCluster(t *testing.T, shards, replicas int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	for _, u := range []string{"alice", "bob"} {
 		if err := c.RegisterUser(u, []byte(u+"-key")); err != nil {
 			t.Fatal(err)
@@ -44,8 +45,9 @@ func newReplicatedCluster(t *testing.T, shards, replicas int) *Cluster {
 
 func TestReplicatedPutLandsOnAllReplicas(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	payload := bytes.Repeat([]byte{0x5A}, 3000)
-	if err := c.Put("alice", "doc", payload); err != nil {
+	if err := cl.Put("alice", "doc", payload); err != nil {
 		t.Fatal(err)
 	}
 	for _, shard := range c.replicaSet("doc") {
@@ -90,13 +92,14 @@ func TestReplicaSetPlacement(t *testing.T) {
 // a successor replica and stats must show it.
 func TestDegradedReadAfterCrash(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	payload := bytes.Repeat([]byte{0x11}, 2048)
-	if err := c.Put("alice", "doc", payload); err != nil {
+	if err := cl.Put("alice", "doc", payload); err != nil {
 		t.Fatal(err)
 	}
 	primary := c.ShardFor("doc")
 	c.CrashShard(primary)
-	got, err := c.Get("alice", "doc")
+	got, err := cl.Get("alice", "doc", nil)
 	if err != nil {
 		t.Fatalf("degraded read failed: %v", err)
 	}
@@ -116,9 +119,10 @@ func TestDegradedReadAfterCrash(t *testing.T) {
 // still acknowledge (quorum 2) and are counted as degraded.
 func TestDegradedWriteAtQuorum(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	reps := c.replicaSet("doc")
 	c.CrashShard(reps[1])
-	if err := c.Put("alice", "doc", []byte("quorum write")); err != nil {
+	if err := cl.Put("alice", "doc", []byte("quorum write")); err != nil {
 		t.Fatalf("write with 2/3 replicas up failed: %v", err)
 	}
 	if st := c.Stats(); st.DegradedWrites == 0 {
@@ -136,10 +140,11 @@ func TestDegradedWriteAtQuorum(t *testing.T) {
 // caller gets the typed error.
 func TestQuorumLost(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	reps := c.replicaSet("doc")
 	c.CrashShard(reps[0])
 	c.PartitionShard(reps[1])
-	err := c.Put("alice", "doc", []byte("doomed"))
+	err := cl.Put("alice", "doc", []byte("doomed"))
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("err = %v, want ErrQuorumLost", err)
 	}
@@ -155,15 +160,16 @@ func TestQuorumLost(t *testing.T) {
 // it, Sync — the restarted replica must converge to byte-identical state.
 func TestRestartAndAntiEntropyRepair(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	payloadA := bytes.Repeat([]byte{0xA1}, 4096)
-	if err := c.Put("alice", "doc", payloadA); err != nil {
+	if err := cl.Put("alice", "doc", payloadA); err != nil {
 		t.Fatal(err)
 	}
 	reps := c.replicaSet("doc")
 	c.CrashShard(reps[1])
 	// Overwrite while the replica is dead: the survivors advance.
 	payloadB := bytes.Repeat([]byte{0xB2}, 5000)
-	if err := c.Put("alice", "doc", payloadB); err != nil {
+	if err := cl.Put("alice", "doc", payloadB); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RestartShard(reps[1]); err != nil {
@@ -192,12 +198,13 @@ func TestRestartAndAntiEntropyRepair(t *testing.T) {
 // Sync it serves again and converges on writes it missed.
 func TestPartitionHeal(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
-	if err := c.Put("alice", "doc", []byte("v1")); err != nil {
+	cl := newClient(t, c)
+	if err := cl.Put("alice", "doc", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	reps := c.replicaSet("doc")
 	c.PartitionShard(reps[2])
-	if err := c.Put("alice", "doc", []byte("v2-longer")); err != nil {
+	if err := cl.Put("alice", "doc", []byte("v2-longer")); err != nil {
 		t.Fatal(err)
 	}
 	// Register a user while the shard is unreachable: it must learn the
@@ -279,14 +286,15 @@ func TestHealthFSMTransitions(t *testing.T) {
 // NOT using RestartShard's markRecovering.
 func TestHealthGateSkipsDownShard(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
-	if err := c.Put("alice", "doc", []byte("payload")); err != nil {
+	cl := newClient(t, c)
+	if err := cl.Put("alice", "doc", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	primary := c.ShardFor("doc")
 	c.CrashShard(primary)
 	// Drive the detector Down with a few reads.
 	for i := 0; i < downAfter+1; i++ {
-		if _, err := c.Get("alice", "doc"); err != nil {
+		if _, err := cl.Get("alice", "doc", nil); err != nil {
 			t.Fatalf("degraded read %d failed: %v", i, err)
 		}
 	}
@@ -295,7 +303,7 @@ func TestHealthGateSkipsDownShard(t *testing.T) {
 	}
 	retriesBefore := c.Stats().Retries
 	for i := 0; i < 8; i++ {
-		if _, err := c.Get("alice", "doc"); err != nil {
+		if _, err := cl.Get("alice", "doc", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,13 +318,14 @@ func TestHealthGateSkipsDownShard(t *testing.T) {
 // fraction of put attempts must be absorbed by the retry loop.
 func TestInjectedTransientErrorsAreRetried(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	faultinject.Activate(&faultinject.Plan{Seed: 11, Rules: []faultinject.Rule{
 		{Target: FaultSitePut, Shard: faultinject.AnyShard, Kind: faultinject.KindError, Prob: 0.25},
 	}})
 	defer faultinject.Deactivate()
 	for i := 0; i < 24; i++ {
 		name := fmt.Sprintf("file-%d", i)
-		if err := c.Put("alice", name, []byte("flaky fabric")); err != nil {
+		if err := cl.Put("alice", name, []byte("flaky fabric")); err != nil {
 			t.Fatalf("put %d not absorbed: %v", i, err)
 		}
 	}
@@ -329,13 +338,14 @@ func TestInjectedTransientErrorsAreRetried(t *testing.T) {
 // immediately (no retry, no health penalty) even with replication on.
 func TestAppRejectionsAreNotRetried(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
-	if err := c.Put("alice", "secret", []byte("alice's")); err != nil {
+	cl := newClient(t, c)
+	if err := cl.Put("alice", "secret", []byte("alice's")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Get("mallory", "secret")
+	_, err := cl.Get("mallory", "secret", nil)
 	if err == nil {
 		t.Fatal("unregistered user served")
 	}
@@ -359,9 +369,10 @@ func TestAppRejectionsAreNotRetried(t *testing.T) {
 // TestShardErrorIdentity: every cluster-level failure names its shard.
 func TestShardErrorIdentity(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 1)
+	cl := newClient(t, c)
 	primary := c.ShardFor("doc")
 	c.CrashShard(primary)
-	err := c.Put("alice", "doc", []byte("x"))
+	err := cl.Put("alice", "doc", []byte("x"))
 	var se *ShardError
 	if !errors.As(err, &se) {
 		t.Fatalf("cluster error carries no shard identity: %v", err)
@@ -375,15 +386,19 @@ func TestShardErrorIdentity(t *testing.T) {
 // the context's error.
 func TestContextCancellation(t *testing.T) {
 	c := newReplicatedCluster(t, 4, 3)
+	cl := newClient(t, c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.PutCtx(ctx, "alice", "doc", []byte("x")); !errors.Is(err, context.Canceled) {
+	if err := cl.PutCtx(ctx, "alice", "doc", []byte("x")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := c.GetCtx(ctx, "alice", "doc"); !errors.Is(err, context.Canceled) {
+	if _, err := cl.GetCtx(ctx, "alice", "doc", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// replicaSet lists the shards holding a file, in placement order.
+func (c *Cluster) replicaSet(name string) []int { return c.appendReplicas(nil, name) }
 
 // TestBackoffDeterministicAndCapped: the jittered schedule is a pure
 // function of the seed, grows with attempts, and respects the cap.

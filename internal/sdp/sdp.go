@@ -154,15 +154,15 @@ type Node struct {
 	zones     map[string]*tenantZone
 	freeZones []uint64
 
-	// Serving-path state, all under mu. tlsSeal is the node's own TLS
-	// endpoint (legacy Put/Get seal and open inline; the staged API
-	// moves that work to a client-held TLSSession). The staging buffers
-	// grow to the largest payload seen and are reused per operation, so
-	// the steady-state serving loop allocates only the bytes it returns.
-	tlsSeal                      *shield.RegionSealer
-	stageBuf, stageCT, stageTags []byte
-	userCiphers                  map[string]*userCipher
-	ctr                          aesx.CTRStream
+	// Serving-path state, all under mu. stageBuf is the plaintext staging
+	// buffer, grown to the largest payload seen and reused per operation.
+	// tls is the node's own Data Owner endpoint, built on first use: Put
+	// and Get seal and open with it exactly as a Client would, then take
+	// the PutSealed/GetSealed path.
+	stageBuf    []byte
+	tls         *TLSSession
+	userCiphers map[string]*userCipher
+	ctr         aesx.CTRStream
 
 	// Sealed-response cache (nil unless cfg.ResponseCacheBytes > 0),
 	// LRU-evicted to stay within its on-chip byte budget. respCycles is
@@ -353,10 +353,6 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 	}
 	n.tlsCfg = scfg.Regions[len(scfg.Regions)-1] // tls is last (the only static region in tenant-zone mode)
 	n.tlsLayout, _ = sh.Layout("tls")
-	n.tlsSeal, err = shield.NewRegionSealer(n.tlsCfg, n.tlsLayout.RegionID, n.dek)
-	if err != nil {
-		return nil, err
-	}
 	n.userCiphers = make(map[string]*userCipher)
 	if cfg.ResponseCacheBytes > 0 {
 		n.respCache = make(map[string]*respEntry)
@@ -467,15 +463,26 @@ func (n *Node) RespCacheStats() (hits, misses, cycles uint64) {
 	return n.respHits, n.respMiss, n.respCycles
 }
 
-// stage sizes the node's reusable staging buffers for an aligned payload
-// of nBytes and returns the plaintext buffer. Caller holds mu.
+// stage sizes the node's reusable plaintext staging buffer for an
+// aligned payload of nBytes. Caller holds mu.
 func (n *Node) stage(nBytes int) []byte {
 	if cap(n.stageBuf) < nBytes {
 		n.stageBuf = make([]byte, nBytes)
-		n.stageCT = make([]byte, nBytes)
-		n.stageTags = make([]byte, nBytes/n.cfg.AuthBlock*shield.TagSize)
 	}
 	return n.stageBuf[:nBytes]
+}
+
+// session returns the node's own TLS endpoint, built on first use.
+// Caller holds mu.
+func (n *Node) session() (*TLSSession, error) {
+	if n.tls == nil {
+		t, err := n.NewTLSSession()
+		if err != nil {
+			return nil, err
+		}
+		n.tls = t
+	}
+	return n.tls, nil
 }
 
 // dmaTLSIn lands a sealed payload extent in the tls region: the host DMA
@@ -499,59 +506,6 @@ func (n *Node) dmaTLSIn(ct, tags []byte) error {
 		return err
 	}
 	return n.sh.MarkPreloadedRange("tls", 0, uint64(len(ct)))
-}
-
-// stageTLSIn is the application→node half of a TLS session on the legacy
-// in-process path: the node's own endpoint seals the payload extent and
-// the untrusted host DMAs it into device memory. (The staged API's
-// TLSSession does the same sealing client-side instead.)
-func (n *Node) stageTLSIn(payload []byte) error {
-	aligned := alignUp(len(payload), n.cfg.AuthBlock)
-	buf := n.stage(aligned)
-	copy(buf, payload)
-	clear(buf[len(payload):])
-	k := aligned / n.cfg.AuthBlock
-	if err := n.tlsSeal.SealRange(0, 0, n.stageCT[:aligned], n.stageTags[:k*shield.TagSize], buf); err != nil {
-		return err
-	}
-	return n.dmaTLSIn(n.stageCT[:aligned], n.stageTags[:k*shield.TagSize])
-}
-
-// stageTLSOutSealed flushes the tls staging set and DMAs the sealed
-// payload extent out into ct/tags (which must hold the aligned extent).
-// Caller holds mu.
-func (n *Node) stageTLSOutSealed(aligned int, ct, tags []byte) error {
-	// In oblivious mode the store region carries the ORAM's deferred path
-	// writes; they must land before the host observes the device (the
-	// ORAM's visibility schedule is part of its obliviousness argument).
-	if n.oram != nil {
-		if err := n.sh.FlushRegion("store"); err != nil {
-			return err
-		}
-	}
-	if err := n.sh.FlushRegion("tls"); err != nil {
-		return err
-	}
-	if err := n.dram.RawReadInto(n.tlsLayout.DataBase, ct); err != nil {
-		return err
-	}
-	return n.dram.RawReadInto(n.tlsLayout.TagBase, tags)
-}
-
-// stageTLSOut is the node→application half on the legacy path: DMA the
-// sealed extent out and open it with the node's own endpoint.
-func (n *Node) stageTLSOut(size int) ([]byte, error) {
-	aligned := alignUp(size, n.cfg.AuthBlock)
-	k := aligned / n.cfg.AuthBlock
-	ct, tags := n.stageCT[:aligned], n.stageTags[:k*shield.TagSize]
-	if err := n.stageTLSOutSealed(aligned, ct, tags); err != nil {
-		return nil, err
-	}
-	out := make([]byte, aligned)
-	if err := n.tlsSeal.OpenRange(0, 0, out, ct, tags); err != nil {
-		return nil, err
-	}
-	return out[:size], nil
 }
 
 // reserve validates a Put and allocates the file's slot entry. Caller
@@ -661,25 +615,6 @@ func (n *Node) EraseTenant(user string) error {
 	return nil
 }
 
-// putStaged is the node half of a Put once the sealed tls image has been
-// DMAed in: pull the extent through the tls engine set (decrypt+verify),
-// apply the per-user GDPR layer, push through the store engine set.
-// Caller holds mu.
-func (n *Node) putStaged(user, name string, entry fileEntry) error {
-	aligned := alignUp(entry.size, n.cfg.AuthBlock)
-	buf := n.stage(aligned)
-	if _, err := n.sh.ReadBurst(tlsBase, buf); err != nil {
-		return err
-	}
-	n.sealForUser(user, name, buf[:entry.size])
-	if err := n.storeWrite(entry.slot, buf); err != nil {
-		return err
-	}
-	n.directory[name] = entry
-	n.respInvalidate(name)
-	return n.flushStore(user)
-}
-
 // flushStore is Put's durability barrier: under the default
 // write-through policy every operation's store lines are sealed to DRAM
 // before it returns; under WriteBack they stay resident and dirty (the
@@ -712,19 +647,20 @@ func (n *Node) Sync() error {
 	return n.sh.FlushRegion("store")
 }
 
-// Put stores a file for a user: application → tls engine set → user-key
-// layer → store engine set.
+// Put stores a file for a user: the node's own TLS endpoint seals the
+// payload as a Data Owner's would, then the PutSealed path runs.
 func (n *Node) Put(user, name string, payload []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	entry, err := n.reserve(user, name, len(payload))
+	t, err := n.session()
 	if err != nil {
 		return err
 	}
-	if err := n.stageTLSIn(payload); err != nil {
+	ct, tags, err := t.Seal(payload)
+	if err != nil {
 		return err
 	}
-	return n.putStaged(user, name, entry)
+	return n.putSealed(user, name, len(payload), ct, tags)
 }
 
 // PutSealed stores a file whose tls image the Data Owner already sealed
@@ -735,6 +671,14 @@ func (n *Node) Put(user, name string, payload []byte) error {
 func (n *Node) PutSealed(user, name string, size int, ct, tags []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.putSealed(user, name, size, ct, tags)
+}
+
+// putSealed is the node half of a Put: DMA the sealed image into the tls
+// region, pull it through the tls engine set (decrypt+verify), apply the
+// per-user GDPR layer, push it through the store engine set. Caller
+// holds mu.
+func (n *Node) putSealed(user, name string, size int, ct, tags []byte) error {
 	entry, err := n.reserve(user, name, size)
 	if err != nil {
 		return err
@@ -747,7 +691,17 @@ func (n *Node) PutSealed(user, name string, size int, ct, tags []byte) error {
 	if err := n.dmaTLSIn(ct, tags); err != nil {
 		return err
 	}
-	return n.putStaged(user, name, entry)
+	buf := n.stage(aligned)
+	if _, err := n.sh.ReadBurst(tlsBase, buf); err != nil {
+		return err
+	}
+	n.sealForUser(user, name, buf[:size])
+	if err := n.storeWrite(entry.slot, buf); err != nil {
+		return err
+	}
+	n.directory[name] = entry
+	n.respInvalidate(name)
+	return n.flushStore(user)
 }
 
 // storeWrite places a slot image (whole auth blocks) in the store region:
@@ -786,41 +740,22 @@ func (n *Node) storeRead(slot int, buf []byte) error {
 	return nil
 }
 
-// getStaged is the node half of a Get: locate the file, pull it from the
-// store engine set, strip the GDPR layer, and push the plaintext into the
-// tls engine set ready for staging out. Caller holds mu.
-func (n *Node) getStaged(user, name string) (fileEntry, error) {
-	if _, ok := n.userKeys[user]; !ok {
-		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
-	}
-	entry, ok := n.directory[name]
-	if !ok {
-		return fileEntry{}, rejectf("sdp: file %q not found", name)
-	}
-	if entry.user != user {
-		return fileEntry{}, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
-	}
-	buf := n.stage(alignUp(entry.size, n.cfg.AuthBlock))
-	if err := n.storeRead(entry.slot, buf); err != nil {
-		return fileEntry{}, err
-	}
-	n.sealForUser(user, name, buf[:entry.size]) // CTR layer is an involution
-	if _, err := n.sh.WriteBurst(tlsBase, buf); err != nil {
-		return fileEntry{}, err
-	}
-	return entry, nil
-}
-
-// Get retrieves a file for a user and returns the plaintext as the
-// application's TLS endpoint would see it.
+// Get retrieves a file for a user and returns the plaintext: the
+// uncached GetSealed path, opened by the node's own TLS endpoint. It
+// neither reads nor fills the response cache, so every Get (Table 2's
+// measurement, anti-entropy's comparison reads) runs the full data path.
 func (n *Node) Get(user, name string) ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	entry, err := n.getStaged(user, name)
+	t, err := n.session()
 	if err != nil {
 		return nil, err
 	}
-	return n.stageTLSOut(entry.size)
+	size, err := n.getSealed(user, name, t.ct, t.tags)
+	if err != nil {
+		return nil, err
+	}
+	return t.Open(nil, t.ct, t.tags, size)
 }
 
 // GetSealed retrieves a file as its sealed tls image, DMAed into the
@@ -843,20 +778,61 @@ func (n *Node) GetSealed(user, name string, ct, tags []byte) (int, error) {
 			}
 		}
 	}
-	entry, err := n.getStaged(user, name)
+	size, err := n.getSealed(user, name, ct, tags)
 	if err != nil {
 		return 0, err
 	}
+	aligned := alignUp(size, n.cfg.AuthBlock)
+	n.respInsert(name, size, ct[:aligned], tags[:aligned/n.cfg.AuthBlock*shield.TagSize])
+	return size, nil
+}
+
+// getSealed is the node half of a Get: locate the file, pull it from the
+// store engine set, strip the GDPR layer, push the plaintext through the
+// tls engine set, and DMA the sealed extent out into ct/tags. Caller
+// holds mu.
+func (n *Node) getSealed(user, name string, ct, tags []byte) (int, error) {
+	if _, ok := n.userKeys[user]; !ok {
+		return 0, rejectf("sdp: user %q has no provisioned key", user)
+	}
+	entry, ok := n.directory[name]
+	if !ok {
+		return 0, rejectf("sdp: file %q not found", name)
+	}
+	if entry.user != user {
+		return 0, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
+	}
 	aligned := alignUp(entry.size, n.cfg.AuthBlock)
+	buf := n.stage(aligned)
+	if err := n.storeRead(entry.slot, buf); err != nil {
+		return 0, err
+	}
+	n.sealForUser(user, name, buf[:entry.size]) // CTR layer is an involution
+	if _, err := n.sh.WriteBurst(tlsBase, buf); err != nil {
+		return 0, err
+	}
 	k := aligned / n.cfg.AuthBlock
 	if len(ct) < aligned || len(tags) < k*shield.TagSize {
 		return 0, rejectf("sdp: sealed-image buffers hold %d+%d bytes, need %d+%d",
 			len(ct), len(tags), aligned, k*shield.TagSize)
 	}
-	if err := n.stageTLSOutSealed(aligned, ct[:aligned], tags[:k*shield.TagSize]); err != nil {
+	// In oblivious mode the store region carries the ORAM's deferred path
+	// writes; they must land before the host observes the device (the
+	// ORAM's visibility schedule is part of its obliviousness argument).
+	if n.oram != nil {
+		if err := n.sh.FlushRegion("store"); err != nil {
+			return 0, err
+		}
+	}
+	if err := n.sh.FlushRegion("tls"); err != nil {
 		return 0, err
 	}
-	n.respInsert(name, entry.size, ct[:aligned], tags[:k*shield.TagSize])
+	if err := n.dram.RawReadInto(n.tlsLayout.DataBase, ct[:aligned]); err != nil {
+		return 0, err
+	}
+	if err := n.dram.RawReadInto(n.tlsLayout.TagBase, tags[:k*shield.TagSize]); err != nil {
+		return 0, err
+	}
 	return entry.size, nil
 }
 
@@ -885,6 +861,14 @@ func (n *Node) sealForUser(user, name string, data []byte) {
 
 // Report exposes the Shield's cycle accounting.
 func (n *Node) Report() shield.Report { return n.sh.Report() }
+
+// Close stops the node's Shield worker goroutines once any operation in
+// flight has finished. A later operation starts them again.
+func (n *Node) Close() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.sh.Close()
+}
 
 // ResetStats clears the measurement window.
 func (n *Node) ResetStats() {

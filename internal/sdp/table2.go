@@ -25,6 +25,7 @@ func MeasureOverhead(cfg NodeConfig) (Table2Row, error) {
 	if err != nil {
 		return Table2Row{}, err
 	}
+	defer node.Close()
 	node.ProvisionUserKeys(map[string][]byte{"alice": []byte("alice-key-0123456789abcdef000000")})
 	fileBytes := cfg.SlotBytes - cfg.AuthBlock // leave headroom in the slot
 	payload := make([]byte, fileBytes)

@@ -758,11 +758,13 @@ func (s *engineSet) ensureWorkers(k int) {
 	}
 	for s.fanWorkers < k {
 		s.fanWorkers++
-		go s.fanWorker()
+		go s.fanWorker(s.fanTasks)
 	}
 }
 
-func (s *engineSet) fanWorker() {
+// fanWorker serves one pool goroutine. It takes the task channel as an
+// argument: stopWorkers clears the field while the worker may be starting.
+func (s *engineSet) fanWorker(tasks chan int) {
 	// The pool goroutine carries the engine set's profiling label for its
 	// whole life, so a CPU profile attributes crypto fan-out work to the
 	// region (store vs tls) it ran for. Workers spawned while no harness
@@ -770,15 +772,15 @@ func (s *engineSet) fanWorker() {
 	// layer; harness runs build their clusters (and hence workers) after
 	// Start, so sweeps are labelled.
 	if profiling.Enabled() {
-		profiling.Do(context.Background(), s.fanLoop, "engine-set", s.cfg.Name)
+		profiling.Do(context.Background(), func() { s.fanLoop(tasks) }, "engine-set", s.cfg.Name)
 		return
 	}
-	s.fanLoop()
+	s.fanLoop(tasks)
 }
 
 // fanLoop drains the task channel until stopWorkers closes it.
-func (s *engineSet) fanLoop() {
-	for w := range s.fanTasks {
+func (s *engineSet) fanLoop(tasks chan int) {
+	for w := range tasks {
 		s.spanWork(w)
 		s.fanWG.Done()
 	}

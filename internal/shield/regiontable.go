@@ -60,6 +60,10 @@ type vRegion struct {
 	// reads it on every charge so DRAM contention follows who is actually
 	// live on the channel, not who merely holds a descriptor.
 	share *atomic.Int64
+	// entry is the zone's lookup-cache payload for the current epoch,
+	// shared by every slot the zone fills, so a miss refills its slot
+	// without allocating.
+	entry atomic.Pointer[lookupEntry]
 }
 
 func (r *vRegion) key() string { return r.cfg.Tenant + "\x00" + r.cfg.Name }
@@ -162,7 +166,8 @@ func (t *RegionTable) channelCounter(ch int) *atomic.Int64 {
 }
 
 // lookup resolves an address to its zone, counting a cache hit or miss.
-// The hit path is lock-free and does not allocate.
+// The hit path is lock-free; neither path allocates once the zone has
+// published its entry for the current epoch.
 func (t *RegionTable) lookup(addr uint64) *vRegion {
 	slot := t.cache.slot(addr)
 	epoch := t.epoch.Load()
@@ -177,7 +182,12 @@ func (t *RegionTable) lookup(addr uint64) *vRegion {
 	if r == nil {
 		return nil
 	}
-	slot.Store(&lookupEntry{base: r.cfg.Base, end: r.end(), epoch: epoch, r: r})
+	e := r.entry.Load()
+	if e == nil || e.epoch != epoch {
+		e = &lookupEntry{base: r.cfg.Base, end: r.end(), epoch: epoch, r: r}
+		r.entry.Store(e)
+	}
+	slot.Store(e)
 	return r
 }
 

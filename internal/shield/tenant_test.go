@@ -241,6 +241,45 @@ func TestRegionLookupCacheCounts(t *testing.T) {
 	}
 }
 
+// TestRegionLookupMissAllocFree alternates bursts between two regions
+// whose first pages share lookup slot 0 (bases lookupEntries pages
+// apart, like a Storage Node's store and tls regions): every access
+// misses, and the refill must reuse the zone's published entry.
+func TestRegionLookupMissAllocFree(t *testing.T) {
+	const size = 4 * lookupPageBytes
+	mk := func(name string, base uint64) RegionConfig {
+		return RegionConfig{
+			Name: name, Base: base, Size: size, ChunkSize: lookupPageBytes,
+			AESEngines: 1, SBox: aesx.SBox16x, KeySize: aesx.AES128,
+			MAC: HMAC, BufferBytes: size,
+		}
+	}
+	const far = lookupEntries * lookupPageBytes
+	rig := tenantRig(t, Config{Regions: []RegionConfig{mk("store", 0), mk("tls", far)}, Registers: 4},
+		2*far, perf.Default())
+	sh := rig.shield
+	defer sh.Close()
+	buf := make([]byte, 64)
+	burst := func() {
+		if _, err := sh.ReadBurst(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.ReadBurst(far, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	sh.ResetStats()
+	const runs = 100
+	if a := testing.AllocsPerRun(runs, burst); a != 0 {
+		t.Errorf("colliding lookups: %v allocs per store+tls pair, want 0", a)
+	}
+	// AllocsPerRun adds one warm-up call; every access is a miss.
+	if lk := sh.Report().Lookup; lk.Hits != 0 || lk.Misses != 2*(runs+1) {
+		t.Errorf("lookup hits/misses = %d/%d, want 0/%d", lk.Hits, lk.Misses, 2*(runs+1))
+	}
+}
+
 // TestTenantChurn1k is the multi-tenant scaling gauntlet: 1k+ tenants
 // create, use, and destroy protection zones concurrently (run under
 // -race in CI).
