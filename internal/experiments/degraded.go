@@ -43,11 +43,16 @@ type DegradedRow struct {
 
 // degradedClusterConfig is the replicated serving fleet under test:
 // every file on three shards, majority write quorum (2), so any single
-// shard loss leaves every file writable and readable.
+// shard loss leaves every file writable and readable. The sealed-response
+// caches are off: with them, the replicas taking over a crashed shard's
+// reads would start cold while the healthy window ran warm, and RetainX
+// would measure cache warmth rather than failover.
 func degradedClusterConfig(shards int) sdp.ClusterConfig {
+	node := clusterNodeConfig()
+	node.ResponseCacheBytes = 0
 	return sdp.ClusterConfig{
 		Shards:   shards,
-		Node:     clusterNodeConfig(),
+		Node:     node,
 		Replicas: 3,
 		Retry: sdp.RetryPolicy{
 			MaxAttempts: 3,

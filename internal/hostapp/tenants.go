@@ -121,17 +121,6 @@ func (r *TenantRegistry) DestroyZone(tenant string) error {
 	return nil
 }
 
-// SetWeight adjusts a tenant's fair-share weight (default 1; higher
-// weight, larger share of a saturated server).
-func (r *TenantRegistry) SetWeight(tenant string, w int) {
-	if w < 1 {
-		w = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.state(tenant).weight = w
-}
-
 // SessionStart records a tenant's session entering service.
 func (r *TenantRegistry) SessionStart(tenant string) {
 	r.mu.Lock()

@@ -145,13 +145,6 @@ func (a *Accountant) UsageFor(tenant string) Usage {
 	return a.usage[tenant]
 }
 
-// QuotaFor reports a tenant's effective quota.
-func (a *Accountant) QuotaFor(tenant string) Quota {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.quotaLocked(tenant)
-}
-
 // Tenants returns the tenants with live charges, sorted for deterministic
 // reporting.
 func (a *Accountant) Tenants() []string {

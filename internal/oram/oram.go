@@ -318,9 +318,6 @@ func heightFor(numBlocks int) int {
 // TreeBuckets returns the bucket count for the configured geometry.
 func (o *ORAM) TreeBuckets() int { return 1<<(o.levels+1) - 1 }
 
-// Levels returns the tree height (leaves = 1<<Levels()).
-func (o *ORAM) Levels() int { return o.levels }
-
 // Depth reports the recursion depth: 1 for an on-chip position map, plus
 // one per recursive position-map ORAM.
 func (o *ORAM) Depth() int {

@@ -570,50 +570,6 @@ func (c *Cluster) Stats() ClusterStats {
 	return st
 }
 
-// ShardStats is one shard's live debug snapshot — the per-shard half of
-// the -debug stats endpoint (JSON field names are the wire format).
-type ShardStats struct {
-	Shard           int    `json:"shard"`
-	Health          string `json:"health"`
-	Crashed         bool   `json:"crashed,omitempty"`
-	Partitioned     bool   `json:"partitioned,omitempty"`
-	BusyCycles      uint64 `json:"busy_cycles"`
-	RespCacheHits   uint64 `json:"resp_cache_hits"`
-	RespCacheMisses uint64 `json:"resp_cache_misses"`
-	RespCacheCycles uint64 `json:"resp_cache_cycles"`
-}
-
-// PerShardStats snapshots every shard for the debug endpoint: where the
-// fleet's simulated time is going, how the sealed-response caches are
-// doing, and what the failure detector thinks of each node — one row per
-// Storage Node.
-func (c *Cluster) PerShardStats() []ShardStats {
-	out := make([]ShardStats, len(c.slots))
-	for i, slot := range c.slots {
-		out[i] = ShardStats{
-			Shard:       i,
-			Health:      slot.health.State().String(),
-			Partitioned: slot.partitioned.Load(),
-		}
-		n := slot.node.Load()
-		if n == nil {
-			out[i].Crashed = true
-			continue
-		}
-		rep := n.Report()
-		var busy uint64
-		for _, r := range rep.Regions {
-			busy += r.BusyCycles
-		}
-		hits, misses, cycles := n.RespCacheStats()
-		out[i].BusyCycles = busy + cycles
-		out[i].RespCacheHits = hits
-		out[i].RespCacheMisses = misses
-		out[i].RespCacheCycles = cycles
-	}
-	return out
-}
-
 // ResetStats zeroes the op counters and every shard's Shield counters.
 func (c *Cluster) ResetStats() {
 	c.puts.Store(0)

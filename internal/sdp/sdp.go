@@ -50,7 +50,9 @@ type NodeConfig struct {
 	// watching the storage device's address bus cannot tell which file —
 	// and therefore which user — a request serves. The Shield still hides
 	// contents; the ORAM hides the access pattern, at a measured bandwidth
-	// amplification.
+	// amplification. The ORAM is the store's only placement other than
+	// direct slot addressing; ownership and capacity are checked as on a
+	// flat node.
 	Oblivious bool
 	// WriteBack is the serving-tier buffer policy: Put leaves the store
 	// region's lines dirty on-chip instead of flushing after every
@@ -58,12 +60,14 @@ type NodeConfig struct {
 	// re-sealing — evictions and Sync write dirty lines back. The
 	// durability barrier moves to Sync; the default (write-through)
 	// policy keeps every Put sealed to DRAM before returning, which is
-	// what the paper's Table 2 measurement models. Oblivious nodes
-	// always write through (the ORAM's visibility schedule is part of
-	// its obliviousness argument).
+	// what the paper's Table 2 measurement models. NewNode clears it on
+	// Oblivious nodes, which always write through (the ORAM's visibility
+	// schedule is part of its obliviousness argument).
 	WriteBack bool
 	// TenantZones places each user's files in their own runtime-created
-	// protection zone instead of one shared static store region: the
+	// protection zone instead of one shared static store region. A flat
+	// node is the one-zone case: the static store region is its single
+	// zone, owned by no tenant and Slots slots long. Under TenantZones the
 	// store arena is carved into per-user zones (TenantSlots slots each),
 	// created lazily on a user's first Put via the Shield's virtual
 	// region layer and destroyed — counters, valid bits, and all — by
@@ -76,7 +80,9 @@ type NodeConfig struct {
 	TenantZones bool
 	// TenantSlots is how many file slots each per-user zone holds
 	// (TenantZones mode; default 1). Slots must divide evenly into
-	// per-user zones.
+	// per-user zones. NewNode sets it to Slots on a flat node, whose one
+	// zone is the whole store. In every mode a file belongs to the user
+	// who first stored it: another user's Put or Get of it is rejected.
 	TenantSlots int
 	// ResponseCacheBytes sizes the sealed-response cache: the most
 	// recently served tls images (ciphertext + tags), kept in the node's
@@ -147,11 +153,12 @@ type Node struct {
 	mu        sync.Mutex
 	userKeys  map[string][]byte
 	directory map[string]fileEntry
-	nextSlot  int
 
-	// Tenant-zone state (TenantZones mode): live per-user zones and the
-	// free-list of zone base addresses in the store arena.
-	zones     map[string]*tenantZone
+	// Store zones, keyed by owner (see owner): a flat node's single zone
+	// is the static store region, owner ""; under TenantZones each user
+	// gets one, carved lazily from freeZones, the free-list of zone base
+	// addresses in the store arena.
+	zones     map[string]*storeZone
 	freeZones []uint64
 
 	// Serving-path state, all under mu. stageBuf is the plaintext staging
@@ -203,8 +210,9 @@ type fileEntry struct {
 	user string
 }
 
-// tenantZone is one user's protection zone in the store arena.
-type tenantZone struct {
+// storeZone is one protection zone in the store arena: a user's, or the
+// whole static store region of a flat node.
+type storeZone struct {
 	base     uint64
 	nextSlot int // next free slot within the zone
 }
@@ -301,8 +309,11 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 			return nil, fmt.Errorf("sdp: %d slots do not divide into zones of %d: %w",
 				cfg.Slots, cfg.TenantSlots, ErrConfig)
 		}
+	} else {
+		cfg.TenantSlots = cfg.Slots
 	}
 	if cfg.Oblivious {
+		cfg.WriteBack = false
 		if cfg.Slots*cfg.SlotBytes/cfg.AuthBlock < 2 {
 			return nil, fmt.Errorf("sdp: oblivious node needs at least two auth blocks of store: %w", ErrConfig)
 		}
@@ -314,15 +325,9 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 	if err := scfg.Validate(); err != nil {
 		return nil, err
 	}
-	var tagBytes uint64
-	for _, r := range scfg.Regions {
-		tagBytes += uint64(r.Chunks() * shield.TagSize)
-	}
-	if cfg.TenantZones {
-		// Runtime zones claim tag shadow from the same pool the static
-		// regions would have: budget for the whole store arena.
-		tagBytes += uint64(cfg.Slots * cfg.SlotBytes / cfg.AuthBlock * shield.TagSize)
-	}
+	// Tag shadow for the tls region and the whole store arena, whether
+	// the arena is one static region or runtime-created zones.
+	tagBytes := (cfg.storeSize() + cfg.tlsSize()) / uint64(cfg.AuthBlock) * shield.TagSize
 	dram := mem.NewDRAM(uint64(tlsBase)+cfg.tlsSize()+tagBytes+1<<20, params)
 	ocm := mem.NewOCM(1 << 32)
 	// The attestation group is kept small for simulation speed; a real
@@ -357,8 +362,8 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 	if cfg.ResponseCacheBytes > 0 {
 		n.respCache = make(map[string]*respEntry)
 	}
+	n.zones = make(map[string]*storeZone)
 	if cfg.TenantZones {
-		n.zones = make(map[string]*tenantZone)
 		zoneBytes := uint64(cfg.TenantSlots * cfg.SlotBytes)
 		// Pushed high-to-low so zones hand out in ascending address order.
 		for base := storeBase + uint64(cfg.Slots*cfg.SlotBytes) - zoneBytes; ; base -= zoneBytes {
@@ -367,6 +372,8 @@ func NewNode(cfg NodeConfig, dek []byte, params perf.Params) (*Node, error) {
 				break
 			}
 		}
+	} else {
+		n.zones[""] = &storeZone{base: storeBase}
 	}
 	if cfg.Oblivious {
 		// The leaf-draw seed derives from the session DEK: deterministic
@@ -512,7 +519,10 @@ func (n *Node) dmaTLSIn(ct, tags []byte) error {
 // holds mu and commits with n.directory[name] = entry on success.
 // Failures are application rejections (ErrRejected): authoritative
 // verdicts the cluster's resilience layer must not retry or hold against
-// the node's health.
+// the node's health. A file belongs to the user who first stored it; a
+// new file takes the next slot of its owner's zone. Slots are global
+// indices into the store arena; the zone boundary is what the Shield's
+// region table enforces.
 func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 	if _, ok := n.userKeys[user]; !ok {
 		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
@@ -520,39 +530,18 @@ func (n *Node) reserve(user, name string, size int) (fileEntry, error) {
 	if size > n.cfg.SlotBytes {
 		return fileEntry{}, rejectf("sdp: file of %d bytes exceeds slot size %d", size, n.cfg.SlotBytes)
 	}
-	if n.cfg.TenantZones {
-		return n.reserveInZone(user, name, size)
-	}
-	entry, ok := n.directory[name]
-	if !ok {
-		if n.nextSlot >= n.cfg.Slots {
-			return fileEntry{}, reject(errors.New("sdp: node full"))
-		}
-		entry = fileEntry{slot: n.nextSlot}
-		n.nextSlot++
-	}
-	entry.size = size
-	entry.user = user
-	return entry, nil
-}
-
-// reserveInZone allocates a file slot inside the user's own protection
-// zone, creating the zone on first use. Slots stay global indices (the
-// arena's address math is unchanged); the zone boundary is what the
-// Shield's region table enforces. Caller holds mu.
-func (n *Node) reserveInZone(user, name string, size int) (fileEntry, error) {
-	z, err := n.zoneFor(user)
-	if err != nil {
-		return fileEntry{}, err
-	}
 	entry, ok := n.directory[name]
 	if ok {
 		if entry.user != user {
 			return fileEntry{}, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
 		}
 	} else {
+		z, err := n.zoneFor(n.owner(user))
+		if err != nil {
+			return fileEntry{}, err
+		}
 		if z.nextSlot >= n.cfg.TenantSlots {
-			return fileEntry{}, rejectf("sdp: user %q's zone is full (%d slots)", user, n.cfg.TenantSlots)
+			return fileEntry{}, rejectf("sdp: node full for user %q (%d slots)", user, n.cfg.TenantSlots)
 		}
 		entry = fileEntry{slot: int((z.base-storeBase)/uint64(n.cfg.SlotBytes)) + z.nextSlot}
 		z.nextSlot++
@@ -562,11 +551,21 @@ func (n *Node) reserveInZone(user, name string, size int) (fileEntry, error) {
 	return entry, nil
 }
 
+// owner names the store zone that holds a user's files: the user's own
+// under TenantZones, the node's single zone "" otherwise.
+func (n *Node) owner(user string) string {
+	if n.cfg.TenantZones {
+		return user
+	}
+	return ""
+}
+
 // zoneFor returns (lazily creating) the user's protection zone. A new
 // zone is one CreateRegion call against the Shield's virtual region
 // layer; its engine set materialises on the first data access, so an
-// idle user costs only directory bytes. Caller holds mu.
-func (n *Node) zoneFor(user string) (*tenantZone, error) {
+// idle user costs only directory bytes. A flat node's zone exists from
+// boot. Caller holds mu.
+func (n *Node) zoneFor(user string) (*storeZone, error) {
 	if z, ok := n.zones[user]; ok {
 		return z, nil
 	}
@@ -578,7 +577,7 @@ func (n *Node) zoneFor(user string) (*tenantZone, error) {
 		return nil, fmt.Errorf("sdp: tenant zone for %q: %w", user, err)
 	}
 	n.freeZones = n.freeZones[:len(n.freeZones)-1]
-	z := &tenantZone{base: base}
+	z := &storeZone{base: base}
 	n.zones[user] = z
 	return z, nil
 }
@@ -618,33 +617,27 @@ func (n *Node) EraseTenant(user string) error {
 // flushStore is Put's durability barrier: under the default
 // write-through policy every operation's store lines are sealed to DRAM
 // before it returns; under WriteBack they stay resident and dirty (the
-// serving-tier policy), written back by eviction pressure or Sync. In
-// tenant-zone mode the barrier covers only the writing user's zone.
+// serving-tier policy), written back by eviction pressure or Sync. The
+// barrier covers only the writing user's zone.
 func (n *Node) flushStore(user string) error {
-	if n.cfg.WriteBack && n.oram == nil {
+	if n.cfg.WriteBack {
 		return nil
 	}
-	if n.cfg.TenantZones {
-		return n.sh.FlushTenantRegion(user, "store")
-	}
-	return n.sh.FlushRegion("store")
+	return n.sh.FlushTenantRegion(n.owner(user), "store")
 }
 
 // Sync writes back all dirty store lines — the explicit durability
-// barrier of a WriteBack node (a no-op burden under write-through). In
-// tenant-zone mode it walks every live zone.
+// barrier of a WriteBack node (a no-op burden under write-through) —
+// walking every live zone.
 func (n *Node) Sync() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cfg.TenantZones {
-		for user := range n.zones {
-			if err := n.sh.FlushTenantRegion(user, "store"); err != nil {
-				return err
-			}
+	for owner := range n.zones {
+		if err := n.sh.FlushTenantRegion(owner, "store"); err != nil {
+			return err
 		}
-		return nil
 	}
-	return n.sh.FlushRegion("store")
+	return nil
 }
 
 // Put stores a file for a user: the node's own TLS endpoint seals the
@@ -722,7 +715,10 @@ func (n *Node) storeWrite(slot int, buf []byte) error {
 	return nil
 }
 
-// storeRead is the read side of storeWrite.
+// storeRead is the read side of storeWrite. An ORAM read also lands the
+// ORAM's deferred path writes in DRAM before the response can leave the
+// node: the ORAM's visibility schedule is part of its obliviousness
+// argument.
 func (n *Node) storeRead(slot int, buf []byte) error {
 	if n.oram == nil {
 		addr := uint64(storeBase + slot*n.cfg.SlotBytes)
@@ -737,7 +733,7 @@ func (n *Node) storeRead(slot int, buf []byte) error {
 		}
 		copy(buf[i*n.cfg.AuthBlock:], blk)
 	}
-	return nil
+	return n.sh.FlushRegion("store")
 }
 
 // Get retrieves a file for a user and returns the plaintext: the
@@ -768,14 +764,12 @@ func (n *Node) GetSealed(user, name string, ct, tags []byte) (int, error) {
 	defer n.mu.Unlock()
 	if n.respCache != nil {
 		// The cache is consulted only after the same authorisation the
-		// full path enforces: provisioned user, existing file, owner match.
-		if _, ok := n.userKeys[user]; ok {
-			if e, ok := n.directory[name]; ok && e.user == user {
-				if size, ok := n.respServe(name, ct, tags); ok {
-					return size, nil
-				}
-				n.respMiss++
+		// full path enforces.
+		if _, err := n.lookup(user, name); err == nil {
+			if size, ok := n.respServe(name, ct, tags); ok {
+				return size, nil
 			}
+			n.respMiss++
 		}
 	}
 	size, err := n.getSealed(user, name, ct, tags)
@@ -792,15 +786,9 @@ func (n *Node) GetSealed(user, name string, ct, tags []byte) (int, error) {
 // tls engine set, and DMA the sealed extent out into ct/tags. Caller
 // holds mu.
 func (n *Node) getSealed(user, name string, ct, tags []byte) (int, error) {
-	if _, ok := n.userKeys[user]; !ok {
-		return 0, rejectf("sdp: user %q has no provisioned key", user)
-	}
-	entry, ok := n.directory[name]
-	if !ok {
-		return 0, rejectf("sdp: file %q not found", name)
-	}
-	if entry.user != user {
-		return 0, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
+	entry, err := n.lookup(user, name)
+	if err != nil {
+		return 0, err
 	}
 	aligned := alignUp(entry.size, n.cfg.AuthBlock)
 	buf := n.stage(aligned)
@@ -816,14 +804,6 @@ func (n *Node) getSealed(user, name string, ct, tags []byte) (int, error) {
 		return 0, rejectf("sdp: sealed-image buffers hold %d+%d bytes, need %d+%d",
 			len(ct), len(tags), aligned, k*shield.TagSize)
 	}
-	// In oblivious mode the store region carries the ORAM's deferred path
-	// writes; they must land before the host observes the device (the
-	// ORAM's visibility schedule is part of its obliviousness argument).
-	if n.oram != nil {
-		if err := n.sh.FlushRegion("store"); err != nil {
-			return 0, err
-		}
-	}
 	if err := n.sh.FlushRegion("tls"); err != nil {
 		return 0, err
 	}
@@ -834,6 +814,22 @@ func (n *Node) getSealed(user, name string, ct, tags []byte) (int, error) {
 		return 0, err
 	}
 	return entry.size, nil
+}
+
+// lookup authorises a read: the user holds a provisioned key, the file
+// exists, and the user owns it. Caller holds mu.
+func (n *Node) lookup(user, name string) (fileEntry, error) {
+	if _, ok := n.userKeys[user]; !ok {
+		return fileEntry{}, rejectf("sdp: user %q has no provisioned key", user)
+	}
+	entry, ok := n.directory[name]
+	if !ok {
+		return fileEntry{}, rejectf("sdp: file %q not found", name)
+	}
+	if entry.user != user {
+		return fileEntry{}, rejectf("sdp: user %q may not access %q (GDPR policy)", user, name)
+	}
+	return entry, nil
 }
 
 // sealForUser applies the per-user GDPR encryption layer in place: an

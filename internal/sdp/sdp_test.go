@@ -2,6 +2,7 @@ package sdp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -75,19 +76,51 @@ func TestMultipleFilesAndOverwrite(t *testing.T) {
 	}
 }
 
-// TestGDPRAccessPolicy: a user cannot read another user's file, and
-// unprovisioned users get nothing.
+// TestGDPRAccessPolicy: a user can neither read nor overwrite another
+// user's file, and unprovisioned users get nothing — on every kind of
+// node.
 func TestGDPRAccessPolicy(t *testing.T) {
-	n := newNode(t)
-	n.Put("alice", "secret", []byte("alice's medical records"))
-	if _, err := n.Get("bob", "secret"); err == nil {
-		t.Fatal("bob read alice's file")
-	}
-	if _, err := n.Get("mallory", "secret"); err == nil {
-		t.Fatal("unprovisioned user served")
-	}
-	if err := n.Put("mallory", "x", []byte("data")); err == nil {
-		t.Fatal("unprovisioned user stored a file")
+	writeBack := smallConfig()
+	writeBack.WriteBack = true
+	for _, m := range []struct {
+		name string
+		cfg  NodeConfig
+	}{
+		{"flat", smallConfig()},
+		{"write-back", writeBack},
+		{"oblivious", obliviousNodeConfig()},
+		{"zoned", tenantZoneConfig()},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			n, err := NewNode(m.cfg, bytes.Repeat([]byte{0x21}, 32), LineRateParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			n.ProvisionUserKeys(map[string][]byte{
+				"alice": []byte("alice-key"),
+				"bob":   []byte("bob-key"),
+			})
+			records := []byte("alice's medical records")
+			if err := n.Put("alice", "secret", records); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Get("bob", "secret"); err == nil {
+				t.Fatal("bob read alice's file")
+			}
+			if err := n.Put("bob", "secret", []byte("bob's overwrite")); !errors.Is(err, ErrRejected) {
+				t.Fatalf("bob overwrote alice's file: %v", err)
+			}
+			if got, err := n.Get("alice", "secret"); err != nil || !bytes.Equal(got, records) {
+				t.Fatalf("alice lost her file: %q, %v", got, err)
+			}
+			if _, err := n.Get("mallory", "secret"); err == nil {
+				t.Fatal("unprovisioned user served")
+			}
+			if err := n.Put("mallory", "x", []byte("data")); err == nil {
+				t.Fatal("unprovisioned user stored a file")
+			}
+		})
 	}
 }
 

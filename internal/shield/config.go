@@ -191,14 +191,3 @@ func (r RegionConfig) validate() error {
 	}
 	return nil
 }
-
-// RegionFor returns the region containing addr, or nil.
-func (c *Config) RegionFor(addr uint64) *RegionConfig {
-	for i := range c.Regions {
-		r := &c.Regions[i]
-		if addr >= r.Base && addr < r.Base+r.Size {
-			return r
-		}
-	}
-	return nil
-}

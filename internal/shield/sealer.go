@@ -443,18 +443,6 @@ func NewRegionSealer(cfg RegionConfig, regionID uint32, dek []byte) (*RegionSeal
 // ChunkSize returns the region's chunk size in bytes.
 func (rs *RegionSealer) ChunkSize() int { return rs.s.cfg.ChunkSize }
 
-// SealChunk encrypts plain (exactly one chunk) into ct and writes the
-// TagSize-byte tag, at the given write epoch, allocating nothing.
-func (rs *RegionSealer) SealChunk(chunk int, counter uint32, ct, tag, plain []byte) {
-	rs.s.sealChunkWith(rs.sc, ct, tag, chunk, counter, plain)
-}
-
-// OpenChunk verifies ct (exactly one chunk) against tag and decrypts it
-// into dst, at the given write epoch, allocating nothing.
-func (rs *RegionSealer) OpenChunk(chunk int, counter uint32, dst, ct, tag []byte) error {
-	return rs.s.openChunkWith(rs.sc, dst, chunk, counter, ct, tag)
-}
-
 // SealRange seals plain — whose length must be a whole number of chunks
 // — as chunks [chunk0, chunk0+k) at epoch counter, appending ciphertext
 // and tags into ct and tags (chunk i's tag at i*TagSize).

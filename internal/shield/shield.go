@@ -426,23 +426,6 @@ func (s *Shield) FlushTenantRegion(tenant, region string) error {
 	return set.flush()
 }
 
-// InvalidateCleanRegion drops the clean buffer lines of one region only,
-// leaving every other region's residency intact. A host DMA that
-// overwrites one region's ciphertext must invalidate that region's
-// lines, but dropping the whole Shield's buffers (InvalidateClean)
-// would needlessly evict hot lines of unrelated regions — exactly the
-// aggregate on-chip residency a fleet of shards is supposed to build.
-func (s *Shield) InvalidateCleanRegion(region string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set, err := s.namedSet(s.cfg.Tenant, region)
-	if err != nil {
-		return err
-	}
-	set.invalidateClean()
-	return nil
-}
-
 // RegionStats is the per-engine-set activity report.
 type RegionStats struct {
 	Name    string
